@@ -1,24 +1,16 @@
-"""Benchmark the census kernels: pure Python vs compiled extension.
+"""Time the census walk (the enumerate route of census_counts).
 
 Usage: python benchmarks/bench_census.py [--nmax 14] [--k 4] [--repeats 3]
 
-Both kernels receive identical height tables and must return identical
-tallies; the table reports the per-call minimum over the repeats.
+For each n in [nmax-4, nmax] the walk runs on the exact-height table of
+B(n, k); the table reports the per-call minimum over the repeats.  Every
+result must visit exactly |B(n, k)| forests and agree with the dp route.
 """
 
 import argparse
 import time
 
-from fdensity import forests
-from fdensity.kernels import available_backends
-
-
-def height_table(n: int, k: int) -> list[list[int]]:
-    return [
-        [forests.count_trees_exact_height(l, h) for h in range(k + 1)] if l else
-        [0] * (k + 1)
-        for l in range(n + 1)
-    ]
+from fdensity import census, forests
 
 
 def main() -> None:
@@ -28,32 +20,22 @@ def main() -> None:
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
 
-    backends = available_backends()
-    names = list(backends)
-    print(f"backends: {', '.join(names)}")
-    header = ["n", "k", "|B(n,k)|"] + [f"{nm} (s)" for nm in names]
-    if len(names) == 2:
-        header.append("speedup")
+    header = ["n", "k", "|B(n,k)|", "walk (s)", "forests/s"]
     print("  ".join(f"{h:>12}" for h in header))
 
-    for n in range(max(2, args.nmax - 4), args.nmax + 1):
-        table = height_table(n, args.k)
-        times: dict[str, float] = {}
-        outputs = {}
-        for nm, fn in backends.items():
-            best = float("inf")
-            for _ in range(args.repeats):
-                t0 = time.perf_counter()
-                out = fn(n, args.k, table)
-                best = min(best, time.perf_counter() - t0)
-            times[nm] = best
-            outputs[nm] = out
-        vals = list(outputs.values())
-        assert all(v == vals[0] for v in vals), "kernels disagree"
-        row = [str(n), str(args.k), str(vals[0][0])]
-        row += [f"{times[nm]:.4f}" for nm in names]
-        if len(names) == 2:
-            row.append(f"{times[names[0]] / max(times[names[1]], 1e-9):.1f}x")
+    k = args.k
+    for n in range(max(1, args.nmax - 4), args.nmax + 1):
+        table = census._height_table(n, k)
+        best = float("inf")
+        for _ in range(args.repeats):
+            t0 = time.perf_counter()
+            out = census._walk(n, k, table)
+            best = min(best, time.perf_counter() - t0)
+        total = out[0]
+        assert total == forests.count_bb(n, k), "walk total != |B(n,k)|"
+        walked = census.CensusCounts(n, k, "enumerate", *out[:7])
+        assert walked.same_counts(census.census_counts(n, k, "dp")), "walk != dp"
+        row = [str(n), str(k), str(total), f"{best:.4f}", f"{total / best:.3g}"]
         print("  ".join(f"{c:>12}" for c in row))
 
 

@@ -11,11 +11,10 @@ Layers:
   (catalan-style recursions; an independent second path to every table).
 - ``intervals``: rational interval arithmetic, certified enclosures of the
   singularities xi_k, and the limit densities they determine.
-- ``census``: per-family statistics combining both counting paths, the
-  breadth-first embedding of B(n, k) into F, exact Cayley-graph
-  boundaries, and the doubling-property bound.
-- ``kernels``: pure-Python and compiled census kernels (selected at
-  import; set FDENSITY_PURE=1 to force the fallback).
+- ``census``: per-family statistics combining both counting paths (the
+  exhaustive census walk and the series), the breadth-first embedding of
+  B(n, k) into F, exact Cayley-graph boundaries, and the doubling-property
+  bound.
 """
 
 __version__ = "0.1.0"
@@ -81,11 +80,9 @@ from .census import (
     stats_bb,
     stats_elements,
 )
-from .kernels import BACKEND, available_backends, bb_census
 
 __all__ = [
     "__version__",
-    "BACKEND",
     "CapExceeded",
     "CensusCounts",
     "CertificationError",
@@ -105,10 +102,8 @@ __all__ = [
     "apply",
     "apply_within",
     "apply_word",
-    "available_backends",
     "ball",
     "base_forest",
-    "bb_census",
     "bprime_stats",
     "by_name",
     "catalan",

@@ -1,7 +1,7 @@
 """Graph statistics on B(n, k) and on arbitrary sets of group elements.
 
 Two independent routes produce every count: `enumerate` walks all of
-B(n, k) through the census kernel, `dp` reads coefficients of the exact
+B(n, k) by height profile (`_walk`), `dp` reads coefficients of the exact
 counting series; they must agree integer-for-integer.
 
 Densities follow delta(Y) = degree_sum / #Y; together with the Cheeger
@@ -40,7 +40,6 @@ from .group import (
     multiply,
     normalize,
 )
-from .kernels import bb_census
 from .series import count_series
 
 DEFAULT_CAP = 10**8
@@ -55,9 +54,78 @@ class EmbeddingError(RuntimeError):
 # raw census counts (mode-dual)
 
 
+def _height_table(n: int, k: int) -> list[list[int]]:
+    """table[l][h] = trees with l leaves and height exactly h (row 0 zero)."""
+    return [
+        [count_trees_exact_height(l, h) for h in range(k + 1)] if l else [0] * (k + 1)
+        for l in range(n + 1)
+    ]
+
+
+def _walk(n: int, k: int, table: list[list[int]]) -> tuple[int, ...]:
+    """Exhaustive tallies over B(n, k), one visit per height profile.
+
+    A forest is visited as (tree_1 ... tree_m, mark): the walk chooses,
+    left to right, each tree's leaf count l and exact height h, and then
+    tallies every mark position.  The per-vertex tally needs only the
+    height profile: the four symmetric-set labels are blocked by mark
+    position, the marked tree being trivial, or a neighbour of height
+    exactly k standing in the way of a merge.  So each profile is visited
+    once, weighted by the number of concrete forests sharing it (the
+    product of the table[l][h] entries along the way), instead of once
+    per concrete tree shape.
+
+    Returns (total, trivial_marked, marked_leftmost, marked_rightmost,
+    x1inv_blocked, x1barinv_blocked, isolated, sequences); `sequences`
+    counts unmarked tree sequences, `total` equals |B(n, k)|.
+    """
+    acc = [0] * 7
+    hs = [0] * n
+    sequences = 0
+    shapes = [[(h, c) for h, c in enumerate(row) if c] for row in table]
+
+    def tally(m: int, w: int) -> None:
+        for mark in range(m):
+            h = hs[mark]
+            trivial = h == 0
+            right_b = mark == m - 1 or hs[mark + 1] == k
+            left_b = mark == 0 or hs[mark - 1] == k
+            acc[0] += w
+            if trivial:
+                acc[1] += w
+            if mark == 0:
+                acc[2] += w
+            if mark == m - 1:
+                acc[3] += w
+            if right_b or h == k:
+                acc[4] += w
+            if left_b or h == k:
+                acc[5] += w
+            if trivial and (right_b or h == k) and (left_b or h == k):
+                acc[6] += w
+
+    def rec(rem: int, m: int, w: int) -> None:
+        nonlocal sequences
+        if rem == 0:
+            sequences += w
+            tally(m, w)
+            return
+        for l in range(1, rem + 1):
+            for h, cnt in shapes[l]:
+                hs[m] = h
+                rec(rem - l, m + 1, w * cnt)
+
+    rec(n, 0, 1)
+    return (*acc, sequences)
+
+
+_FOREST_GENSETS = ("standard", "symmetric", "extended")
+
+
 @dataclass(frozen=True)
 class CensusCounts:
-    """Exact tallies over B(n, k), from either route."""
+    """Exact tallies over B(n, k), from either route, and what they give:
+    the forest-model statistics, those of B'(n, k), and the doubling bound."""
 
     n: int
     k: int
@@ -89,6 +157,65 @@ class CensusCounts:
             other.isolated,
         )
 
+    def stats(self, genset: GenSetSpec) -> "SubgraphStats":
+        """Induced-subgraph statistics of B(n, k) under a named generating set."""
+        if genset.name not in _FOREST_GENSETS:
+            raise ValueError(
+                f"forest-model statistics support gensets {_FOREST_GENSETS}, "
+                f"not {genset.name!r}"
+            )
+        blocked_by_label = {
+            "x0": self.leftmost,
+            "x0^-1": self.rightmost,
+            "x1": self.trivial,
+            "x1^-1": self.x1inv_blocked,
+            "x1bar": self.trivial,
+            "x1bar^-1": self.x1barinv_blocked,
+        }
+        labels = [label for label, _ in genset.signed()]
+        blocked = tuple((label, blocked_by_label[label]) for label in labels)
+        internal = tuple((label, self.total - b) for label, b in blocked)
+        return SubgraphStats(vertices=self.total, internal=internal, blocked=blocked)
+
+    def bprime(self) -> "SubgraphStats":
+        """Statistics of B'(n, k): B(n, k) minus its isolated vertices.
+
+        Isolated vertices carry no internal symmetric-set edges, so the
+        degree sum is unchanged while the vertex count drops; the density
+        rises by the exact factor beta/(beta - isolated).
+        """
+        remaining = self.total - self.isolated
+        if remaining == 0:
+            raise ValueError(
+                f"B'({self.n},{self.k}) is empty: "
+                f"all {self.total} vertices are isolated"
+            )
+        internal = self.stats(GenSetSpec.symmetric()).internal
+        blocked = tuple((label, remaining - cnt) for label, cnt in internal)
+        return SubgraphStats(vertices=remaining, internal=internal, blocked=blocked)
+
+    def doubling_bound(self) -> "DoublingBound":
+        """Edge-selection upper bound on #dY for Y = B(n, k), extended set.
+
+        Every boundary vertex v keeps an edge back into Y, and mapping v to
+        that endpoint is injective per label.  Category counts:
+
+          v = u*x0 or u*x0^-1   (mark at an end)        <= leftmost + rightmost
+          v = u*x1 or u*x1bar   (marked tree trivial)   <= 2 * trivial
+          v = u*x1^-1           (blocked merge right)   <= trivial, exactly the
+                                blocked-merge count; every height-blocked
+                                x1bar^-1 target also arises this way, since
+                                splitting its k+1 caret the other way lands
+                                back in Y
+          v = u*x1bar^-1, u leftmost-marked (no left
+                                neighbour to merge)     <= leftmost
+
+        Total: 3*trivial + 2*leftmost + rightmost.  Since leftmost and
+        rightmost are o(|B(n,k)|), the ratio tends to 3 xi_k.
+        """
+        bound = 3 * self.trivial + 2 * self.leftmost + self.rightmost
+        return DoublingBound(n=self.n, k=self.k, upper_bound=bound, total=self.total)
+
 
 def census_counts(
     n: int,
@@ -118,16 +245,12 @@ def census_counts(
             raise CapExceeded(
                 f"|B({n},{k})| = {estimate} exceeds enumeration cap {cap}"
             )
-        table = [
-            [count_trees_exact_height(l, h) for h in range(k + 1)] if l else [0] * (k + 1)
-            for l in range(n + 1)
-        ]
-        (total, trivial, leftmost, rightmost, right_b, left_b, iso, seqs) = bb_census(
-            n, k, table
+        (total, trivial, leftmost, rightmost, right_b, left_b, iso, seqs) = _walk(
+            n, k, _height_table(n, k)
         )
         if total != estimate or seqs != _seq_counts(n, k)[0]:
             raise AssertionError(
-                f"kernel visit counts disagree with recursion at n={n} k={k}"
+                f"census walk counts disagree with recursion at n={n} k={k}"
             )
         return CensusCounts(
             n, k, "enumerate", total, trivial, leftmost, rightmost, right_b, left_b, iso
@@ -202,29 +325,6 @@ class SubgraphStats:
         return dict(self.blocked)
 
 
-_FOREST_GENSETS = ("standard", "symmetric", "extended")
-
-
-def _stats_from_counts(c: CensusCounts, genset: GenSetSpec) -> SubgraphStats:
-    if genset.name not in _FOREST_GENSETS:
-        raise ValueError(
-            f"forest-model statistics support gensets {_FOREST_GENSETS}, "
-            f"not {genset.name!r}"
-        )
-    blocked_by_label = {
-        "x0": c.leftmost,
-        "x0^-1": c.rightmost,
-        "x1": c.trivial,
-        "x1^-1": c.x1inv_blocked,
-        "x1bar": c.trivial,
-        "x1bar^-1": c.x1barinv_blocked,
-    }
-    labels = [label for label, _ in genset.signed()]
-    blocked = tuple((label, blocked_by_label[label]) for label in labels)
-    internal = tuple((label, c.total - b) for label, b in blocked)
-    return SubgraphStats(vertices=c.total, internal=internal, blocked=blocked)
-
-
 def stats_bb(
     n: int,
     k: int,
@@ -233,7 +333,7 @@ def stats_bb(
     cap: int = DEFAULT_CAP,
 ) -> SubgraphStats:
     """Induced-subgraph statistics of B(n, k) under a named generating set."""
-    return _stats_from_counts(census_counts(n, k, mode, cap), genset)
+    return census_counts(n, k, mode, cap).stats(genset)
 
 
 def isolated_census(
@@ -246,22 +346,8 @@ def isolated_census(
 def bprime_stats(
     n: int, k: int, mode: str = "enumerate", cap: int = DEFAULT_CAP
 ) -> SubgraphStats:
-    """Statistics of B'(n, k): B(n, k) minus its isolated vertices.
-
-    Isolated vertices carry no internal symmetric-set edges, so the degree
-    sum is unchanged while the vertex count drops; the density rises by
-    the exact factor beta/(beta - isolated).
-    """
-    c = census_counts(n, k, mode, cap)
-    remaining = c.total - c.isolated
-    if remaining == 0:
-        raise ValueError(
-            f"B'({n},{k}) is empty: all {c.total} vertices are isolated"
-        )
-    sym = _stats_from_counts(c, GenSetSpec.symmetric())
-    internal = sym.internal
-    blocked = tuple((label, remaining - cnt) for label, cnt in internal)
-    return SubgraphStats(vertices=remaining, internal=internal, blocked=blocked)
+    """Statistics of B'(n, k); see CensusCounts.bprime."""
+    return census_counts(n, k, mode, cap).bprime()
 
 
 # ---------------------------------------------------------------------------
@@ -380,27 +466,9 @@ class DoublingBound:
 def doubling_bound(
     n: int, k: int, mode: str = "enumerate", cap: int = DEFAULT_CAP
 ) -> DoublingBound:
-    """Edge-selection upper bound on #dY for Y = B(n, k), extended set.
-
-    Every boundary vertex v keeps an edge back into Y, and mapping v to
-    that endpoint is injective per label.  Category counts:
-
-      v = u*x0 or u*x0^-1   (mark at an end)        <= leftmost + rightmost
-      v = u*x1 or u*x1bar   (marked tree trivial)   <= 2 * trivial
-      v = u*x1^-1           (blocked merge right)   <= trivial, exactly the
-                            blocked-merge count; every height-blocked
-                            x1bar^-1 target also arises this way, since
-                            splitting its k+1 caret the other way lands
-                            back in Y
-      v = u*x1bar^-1, u leftmost-marked (no left
-                            neighbour to merge)     <= leftmost
-
-    Total: 3*trivial + 2*leftmost + rightmost.  Since leftmost and
-    rightmost are o(|B(n,k)|), the ratio tends to 3 xi_k.
-    """
-    c = census_counts(n, k, mode, cap)
-    bound = 3 * c.trivial + 2 * c.leftmost + c.rightmost
-    return DoublingBound(n=n, k=k, upper_bound=bound, total=c.total)
+    """Edge-selection upper bound on #dY for Y = B(n, k), extended set; see
+    CensusCounts.doubling_bound."""
+    return census_counts(n, k, mode, cap).doubling_bound()
 
 
 # ---------------------------------------------------------------------------

@@ -231,11 +231,12 @@ def _density_row(job: tuple) -> dict:
         emb = census.embed(n, k, cap=cap)
         st = census.stats_elements(emb.image(), genset)
         prov = TAG_ENUM
+        counts = census.census_counts(
+            n, k, "dp" if mode == "dp" else "enumerate", cap, trunc
+        )
     else:
-        st = census.stats_bb(n, k, genset, mode=mode, cap=cap)
-    counts = census.census_counts(
-        n, k, "dp" if mode == "dp" else "enumerate", cap, trunc
-    )
+        counts = census.census_counts(n, k, mode, cap, trunc)
+        st = counts.stats(genset)
     row = {
         "n": n,
         "k": k,
@@ -247,14 +248,11 @@ def _density_row(job: tuple) -> dict:
         "density": _decimal(st.density),
         "cheeger": st.cheeger_total,
         "isolated": counts.isolated,
-        "doubling_upper_bound": census.doubling_bound(
-            n, k, "dp" if mode == "dp" else "enumerate", cap
-        ).upper_bound,
+        "doubling_upper_bound": counts.doubling_bound().upper_bound,
         "provenance": prov,
     }
-    remaining = counts.total - counts.isolated
-    if remaining > 0:
-        bp = census.bprime_stats(n, k, "dp" if mode == "dp" else "enumerate", cap)
+    if counts.total > counts.isolated:
+        bp = counts.bprime()
         row["bprime_density_num"] = bp.density.numerator
         row["bprime_density_den"] = bp.density.denominator
     compute_boundary = boundary == "always" or (
@@ -538,9 +536,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _isolated_row(job: tuple) -> dict:
     n, k, mode, cap, trunc = job
-    counts = census.census_counts(
-        n, k, "both" if mode == "both" else mode, cap, trunc
-    )
+    counts = census.census_counts(n, k, mode, cap, trunc)
     prov = {"enumerate": TAG_ENUM, "dp": TAG_DP, "both": f"{TAG_ENUM} {TAG_DP}"}[mode]
     return {
         "n": n,

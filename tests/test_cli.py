@@ -3,7 +3,9 @@
 import csv
 import json
 
-from fdensity import cli
+import pytest
+
+from fdensity import census, cli
 
 
 def run(argv, tmp_path, name="out"):
@@ -78,6 +80,46 @@ def test_density_mode_dp_skips_boundary(tmp_path):
     (row,) = list(csv.DictReader(text.splitlines()))
     assert row["outer_boundary"] == "NA"
     assert row["provenance"] == "[exact-dp]"
+
+
+@pytest.mark.parametrize(
+    "mode, trunc, walks, orders",
+    [
+        ("enumerate", None, 1, []),
+        ("both", None, 1, [10]),
+        ("both", 40, 1, [40]),
+        ("dp", None, 0, [10]),
+        ("dp", 40, 0, [40]),
+    ],
+)
+def test_density_row_counts_once(monkeypatch, mode, trunc, walks, orders):
+    # One census per row: every column reads the same CensusCounts.
+    walk, series = census._walk, census.count_series
+    seen = {"walks": 0, "orders": []}
+
+    def counting_walk(*args):
+        seen["walks"] += 1
+        return walk(*args)
+
+    def counting_series(k, order):
+        seen["orders"].append(order)
+        return series(k, order)
+
+    monkeypatch.setattr(census, "_walk", counting_walk)
+    monkeypatch.setattr(census, "count_series", counting_series)
+    row = cli._density_row(
+        (10, 3, "symmetric", mode, census.DEFAULT_CAP, "never", trunc)
+    )
+    assert row["vertices"] == 11932
+    assert seen == {"walks": walks, "orders": orders}
+
+
+def test_density_dp_trunc_keeps_bytes(tmp_path):
+    base = ["density", "--mode", "dp", "--n", "10", "--k", "3"]
+    _, plain = run(base, tmp_path, "p")
+    rc, wide = run(base + ["--trunc", "40"], tmp_path, "w")
+    assert rc == 0
+    assert plain == wide and plain
 
 
 def test_density_custom_genset(tmp_path):

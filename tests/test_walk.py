@@ -1,0 +1,54 @@
+"""The census walk against the object model, the series route, and a
+deliberately broken height table."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fdensity import census, forests
+
+
+def _object_model_tallies(n: int, k: int) -> tuple[int, ...]:
+    """The walk's 8-tuple recomputed forest by forest from the actions."""
+    members = list(forests.iter_bb(n, k))
+
+    def blocked(label):
+        return sum(1 for f in members if forests.apply_within(label, f, k) is None)
+
+    trivial = blocked("x1")
+    assert trivial == blocked("x1bar")
+    assert trivial == sum(1 for f in members if f.trees[f.mark] is None)
+    return (
+        len(members),
+        trivial,
+        blocked("x0"),
+        blocked("x0^-1"),
+        blocked("x1^-1"),
+        blocked("x1bar^-1"),
+        sum(1 for f in members if forests.is_isolated(f, k)),
+        len({f.trees for f in members}),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 9), k=st.integers(0, 4))
+def test_walk_matches_object_model(n, k):
+    walked = census._walk(n, k, census._height_table(n, k))
+    assert walked == _object_model_tallies(n, k)
+
+
+def test_walk_agrees_with_series_at_n18():
+    c = census.census_counts(18, 4, "both")
+    assert c.total == forests.count_bb(18, 4) == 90044420
+
+
+def test_bumped_table_breaks_total(monkeypatch):
+    n, k = 8, 3
+    table = census._height_table(n, k)
+    assert census._walk(n, k, table)[0] == forests.count_bb(n, k)
+    table[3][2] += 1
+    assert census._walk(n, k, table)[0] != forests.count_bb(n, k)
+    # census_counts refuses the broken walk rather than reporting it.
+    monkeypatch.setattr(census, "_height_table", lambda n, k: table)
+    with pytest.raises(AssertionError):
+        census.census_counts(n, k)
