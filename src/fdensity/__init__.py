@@ -76,6 +76,7 @@ from .census import (
     doubling_bound,
     embed,
     isolated_census,
+    outer_boundary,
     outer_boundary_exact,
     stats_bb,
     stats_elements,
@@ -128,6 +129,7 @@ __all__ = [
     "multiply",
     "multiply_word",
     "normalize",
+    "outer_boundary",
     "outer_boundary_exact",
     "parse_nf",
     "parse_word",

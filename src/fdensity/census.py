@@ -256,18 +256,8 @@ def census_counts(
             n, k, "enumerate", total, trivial, leftmost, rightmost, right_b, left_b, iso
         )
     if mode == "dp":
-        fam = count_series(k, n if trunc is None else trunc)
         return CensusCounts(
-            n,
-            k,
-            "dp",
-            fam.total[n],
-            fam.trivial_marked[n],
-            fam.marked_leftmost[n],
-            fam.marked_rightmost[n],
-            fam.x1inv_blocked[n],
-            fam.x1barinv_blocked[n],
-            fam.isolated[n],
+            n, k, "dp", *count_series(k, n if trunc is None else trunc).at(n)
         )
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -433,20 +423,8 @@ def outer_boundary_exact(
     n_cap: int = EMBED_N_CAP,
     cap: int = DEFAULT_CAP,
 ) -> int:
-    """#dY for Y = B(n, k) embedded in the Cayley graph, exactly.
-
-    Boundary vertices are deduplicated by normal form (dY is a vertex set).
-    """
-    emb = embed(n, k, n_cap, cap)
-    Y = emb.image()
-    steps = [normalize(w) for _, w in genset.signed()]
-    outside: set[NormalForm] = set()
-    for y in Y:
-        for s in steps:
-            t = multiply(y, s)
-            if t not in Y:
-                outside.add(t)
-    return len(outside)
+    """#dY for Y = B(n, k) embedded in the Cayley graph; see outer_boundary."""
+    return outer_boundary(embed(n, k, n_cap, cap).image(), genset)
 
 
 @dataclass(frozen=True)
@@ -492,3 +470,19 @@ def stats_elements(
     return SubgraphStats(
         vertices=len(Y), internal=tuple(internal), blocked=tuple(blocked)
     )
+
+
+def outer_boundary(elements: Iterable[NormalForm], genset: GenSetSpec) -> int:
+    """#dY for a finite set Y of elements, exactly.
+
+    Boundary vertices are deduplicated by normal form (dY is a vertex set).
+    """
+    Y = set(elements)
+    steps = [normalize(w) for _, w in genset.signed()]
+    outside: set[NormalForm] = set()
+    for y in Y:
+        for s in steps:
+            t = multiply(y, s)
+            if t not in Y:
+                outside.add(t)
+    return len(outside)

@@ -214,22 +214,27 @@ DENSITY_COLUMNS = [
 ]
 
 
-def _check_trunc(trunc: Optional[int], ns: Iterable[int], mode: str) -> None:
-    """--trunc overrides the dp series order; values < n cannot cover [z^n]."""
-    if trunc is None or mode == "enumerate":
-        return
+def _series_order(trunc: Optional[int], ns: Iterable[int], mode: str) -> int:
+    """The dp series order for a table: --trunc, else the largest n.  One
+    order for every row, so each k builds its series once (coefficients
+    do not depend on the order, see census.census_counts); values below
+    the largest n cannot cover [z^n]."""
     top = max(ns)
-    if trunc < top:
+    if trunc is None:
+        return top
+    if trunc < top and mode != "enumerate":
         raise UsageError(f"--trunc {trunc} is below the largest requested n={top}")
+    return trunc
 
 
 def _density_row(job: tuple) -> dict:
     n, k, genset_name, mode, cap, boundary, trunc = job
     genset = group.by_name(genset_name)
     prov = {"enumerate": TAG_ENUM, "dp": TAG_DP, "both": f"{TAG_ENUM} {TAG_DP}"}[mode]
+    image = None
     if genset.name == "custom":
-        emb = census.embed(n, k, cap=cap)
-        st = census.stats_elements(emb.image(), genset)
+        image = census.embed(n, k, cap=cap).image()
+        st = census.stats_elements(image, genset)
         prov = TAG_ENUM
         counts = census.census_counts(
             n, k, "dp" if mode == "dp" else "enumerate", cap, trunc
@@ -259,16 +264,20 @@ def _density_row(job: tuple) -> dict:
         boundary == "auto" and n <= 10 and mode != "dp"
     )
     if compute_boundary:
-        row["outer_boundary"] = census.outer_boundary_exact(n, k, genset, cap=cap)
+        row["outer_boundary"] = (
+            census.outer_boundary_exact(n, k, genset, cap=cap)
+            if image is None
+            else census.outer_boundary(image, genset)
+        )
     return row
 
 
 def cmd_density(args: argparse.Namespace) -> int:
     ns = _range_from(args.n, args.nmax, "n")
     ks = _range_from(args.k, args.kmax, "k")
-    _check_trunc(args.trunc, ns, args.mode)
+    order = _series_order(args.trunc, ns, args.mode)
     jobs = [
-        (n, k, args.genset, args.mode, args.cap, args.boundary, args.trunc)
+        (n, k, args.genset, args.mode, args.cap, args.boundary, order)
         for n in ns
         for k in ks
     ]
@@ -552,8 +561,8 @@ def _isolated_row(job: tuple) -> dict:
 def cmd_isolated(args: argparse.Namespace) -> int:
     ns = _range_from(args.n, args.nmax, "n")
     ks = _range_from(args.k, args.kmax, "k")
-    _check_trunc(args.trunc, ns, args.mode)
-    jobs = [(n, k, args.mode, args.cap, args.trunc) for n in ns for k in ks]
+    order = _series_order(args.trunc, ns, args.mode)
+    jobs = [(n, k, args.mode, args.cap, order) for n in ns for k in ks]
     rows = _pmap(_isolated_row, jobs, args.threads)
     columns = ["n", "k", "beta", "trivial_marked", "x1inv_blocked", "isolated", "provenance"]
     _emit(rows, columns, _meta(args, "isolated"), args.format, args.out)

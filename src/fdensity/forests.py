@@ -266,19 +266,21 @@ def is_isolated(f: MarkedForest, k: int) -> bool:
 @lru_cache(maxsize=None)
 def _seq_counts(n: int, k: int) -> tuple[int, int]:
     """(number of tree sequences with n total leaves, total tree count over
-    them), all heights <= k."""
-    if n == 0:
-        return (1, 0)
-    seqs = 0
-    marks = 0
-    for ln in range(1, n + 1):
-        t = count_trees(ln, k)
-        if t == 0:
-            continue
-        s, b = _seq_counts(n - ln, k)
-        seqs += t * s
-        marks += t * (b + s)
-    return (seqs, marks)
+    them), all heights <= k.  Built bottom-up over m = 0..n, so no
+    recursion depth grows with n."""
+    trees = [(ln, t) for ln in range(1, n + 1) if (t := count_trees(ln, k))]
+    seqs = [1]
+    marks = [0]
+    for m in range(1, n + 1):
+        s = b = 0
+        for ln, t in trees:
+            if ln > m:
+                break
+            s += t * seqs[m - ln]
+            b += t * (marks[m - ln] + seqs[m - ln])
+        seqs.append(s)
+        marks.append(b)
+    return (seqs[n], marks[n])
 
 
 def count_bb(n: int, k: int) -> int:

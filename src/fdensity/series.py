@@ -5,9 +5,21 @@ Phi_0 = z and Phi_k = z + Phi_{k-1}^2.  The marked-forest counting series
 
     Psi_k(z) = Phi_k / (1 - Phi_k)^2
 
-has [z^n] Psi_k = |B(n, k)|.  The per-label blocked counts over B(n, k)
-are coefficients of closed-form combinations of Phi_k and Phi_{k-1}
-assembled in count_series (with Phi_{-1} = 0, so k = 0 works uniformly).
+has [z^n] Psi_k = |B(n, k)|.  Every per-label count over B(n, k) is a
+coefficient of G, G^2 or S^2, where
+
+    G = 1 / (1 - Phi_k)    and    S = (1 - Phi_{k-1}) G,
+
+with Phi_{-1} = 0, so k = 0 works uniformly.  Phi_k G = G - 1 and
+Phi_k - Phi_{k-1}^2 = z give (see count_series)
+
+    total            = G^2 - G        (= Psi_k)
+    trivial_marked   = z G^2
+    marked_leftmost  = marked_rightmost = G - 1
+    x1inv_blocked    = x1barinv_blocked = z G^2
+    isolated         = z S^2
+
+so one [z^n] read is a dot product of two prefixes, not a series product.
 """
 
 from __future__ import annotations
@@ -15,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from operator import mul
 
 
 class TruncatedSeries:
@@ -73,11 +86,10 @@ class TruncatedSeries:
         """1 / (1 - self); requires zero constant term."""
         if self.coeffs[0] != 0:
             raise ValueError("geometric() needs zero constant term")
-        n = self.trunc
-        out = [0] * (n + 1)
-        out[0] = 1
-        for m in range(1, n + 1):
-            out[m] = sum(self.coeffs[i] * out[m - i] for i in range(1, m + 1))
+        coeffs = self.coeffs
+        out = [1]
+        for m in range(1, len(coeffs)):
+            out.append(sum(map(mul, coeffs[m:0:-1], out)))
         return TruncatedSeries(out)
 
 
@@ -118,72 +130,83 @@ def psi(k: int, trunc: int) -> TruncatedSeries:
     return p * g * g
 
 
+def _conv(a: tuple, b: tuple, m: int) -> int:
+    """[z^m] of the product of the series with coefficients a and b."""
+    if m < 0:
+        return 0
+    return sum(map(mul, a[: m + 1], b[m::-1]))
+
+
 @dataclass(frozen=True)
 class CountSeriesFamily:
-    """Coefficientwise-exact counting series over B(n, k), n = degree.
+    """The two series that every count over B(n, k) is read from.
 
-    total:            all marked forests (= Psi_k)
-    trivial_marked:   marked tree is a single leaf (x1 and x1bar blocked)
-    marked_leftmost:  mark on the first tree (x0 blocked)
-    marked_rightmost: mark on the last tree (x0^-1 blocked)
-    x1inv_blocked:    merge with right neighbour impossible within height k
-    x1barinv_blocked: merge with left neighbour impossible within height k
-    isolated:         all four symmetric-set labels blocked
+    g:    G = 1/(1 - Phi_k)
+    side: S = (1 - Phi_{k-1}) G = 1 + (Phi_k - Phi_{k-1}) G, the trees on
+          one side of a trivial marked tree when that side blocks the
+          merge: none, or a sequence whose tree next to the mark has
+          height exactly k
     """
 
     k: int
     trunc: int
-    total: TruncatedSeries
-    trivial_marked: TruncatedSeries
-    marked_leftmost: TruncatedSeries
-    marked_rightmost: TruncatedSeries
-    x1inv_blocked: TruncatedSeries
-    x1barinv_blocked: TruncatedSeries
-    isolated: TruncatedSeries
+    g: TruncatedSeries
+    side: TruncatedSeries
+
+    def at(self, n: int) -> tuple[int, int, int, int, int, int, int]:
+        """[z^n] of (total, trivial_marked, marked_leftmost,
+        marked_rightmost, x1inv_blocked, x1barinv_blocked, isolated):
+
+        total:            all marked forests, G^2 - G (= Psi_k)
+        trivial_marked:   marked tree is a single leaf (x1 and x1bar
+                          blocked), z G^2
+        marked_leftmost:  mark on the first tree (x0 blocked), G - 1
+        marked_rightmost: mark on the last tree (x0^-1 blocked), G - 1
+        x1inv_blocked:    merge with right neighbour impossible within
+                          height k, z G^2
+        x1barinv_blocked: merge with left neighbour impossible within
+                          height k, z G^2
+        isolated:         all four symmetric-set labels blocked, z S^2
+        """
+        if not 0 <= n <= self.trunc:
+            raise ValueError(f"[z^{n}] is outside the series order {self.trunc}")
+        g = self.g.coeffs
+        s = self.side.coeffs
+        edge = g[n] - (n == 0)
+        trivial = _conv(g, g, n - 1)
+        return (
+            _conv(g, g, n) - g[n],
+            trivial,
+            edge,
+            edge,
+            trivial,
+            trivial,
+            _conv(s, s, n - 1),
+        )
 
 
 @lru_cache(maxsize=None)
 def count_series(k: int, trunc: int) -> CountSeriesFamily:
-    """Blocked-count series over B(n, k); Phi_{-1} = 0 covers k = 0.
+    """G and S for B(n, k) through z^trunc; Phi_{-1} = 0 covers k = 0.
 
     A merge at the mark is blocked when the mark is at the boundary or one
     of the two trees involved has height exactly k; trees of height exactly
-    k are counted by Phi_k - Phi_{k-1}.  Inclusion-exclusion gives each
-    series below; Phi_k - Phi_{k-1}^2 = z makes x1inv_blocked equal
-    trivial_marked coefficientwise, which realises the per-label boundary
-    balance exactly rather than just asymptotically.
+    k are counted by Phi_k - Phi_{k-1}.  By inclusion-exclusion
+
+        x1inv_blocked = Phi_k G + (Phi_k^2 - Phi_{k-1}^2) G^2
+        isolated      = z (1 + (Phi_k - Phi_{k-1}) G)^2
+        total         = Phi_k G^2,  marked_leftmost = Phi_k G.
+
+    Phi_k G = G - 1 and Phi_{k-1}^2 = Phi_k - z reduce these to the forms
+    in CountSeriesFamily.at: the blocked series equal z G^2 = trivial_marked
+    coefficientwise, which realises the per-label boundary balance exactly
+    rather than just asymptotically.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    p = phi(k, trunc)
-    pprev = phi(k - 1, trunc)
-    g = p.geometric()
-    zs = z(trunc)
-    ons = one(trunc)
-    total = p * g * g
-    trivial = zs * g * g
-    edge = p * g
-    # blocked merge on the right: mark rightmost, or (splitting off the
-    # rightmost position) one of the two adjacent trees has height k:
-    # edge + (p^2 - pprev^2) * g^2.
-    tall_pair = (p * p - pprev * pprev) * g * g
-    blocked = edge + tall_pair
-    # isolated: marked tree trivial and each side either absent or of
-    # height exactly k; H = Phi_k - Phi_{k-1} counts height exactly k.
-    h = p - pprev
-    side = ons + h * g
-    isolated = side * zs * side
-    return CountSeriesFamily(
-        k=k,
-        trunc=trunc,
-        total=total,
-        trivial_marked=trivial,
-        marked_leftmost=edge,
-        marked_rightmost=edge,
-        x1inv_blocked=blocked,
-        x1barinv_blocked=blocked,
-        isolated=isolated,
-    )
+    g = phi(k, trunc).geometric()
+    side = g - phi(k - 1, trunc) * g
+    return CountSeriesFamily(k=k, trunc=trunc, g=g, side=side)
 
 
 def catalan_series_check(trunc: int) -> bool:

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from fdensity import census, cli
+from fdensity import census, cli, group, series
 
 
 def run(argv, tmp_path, name="out"):
@@ -112,6 +112,47 @@ def test_density_row_counts_once(monkeypatch, mode, trunc, walks, orders):
     )
     assert row["vertices"] == 11932
     assert seen == {"walks": walks, "orders": orders}
+
+
+def test_isolated_table_builds_one_series(monkeypatch, tmp_path):
+    # Without --trunc every row reads the series at the largest n.
+    real = census.count_series
+    orders = []
+
+    def counting_series(k, order):
+        orders.append((k, order))
+        return real(k, order)
+
+    monkeypatch.setattr(census, "count_series", counting_series)
+    series.count_series.cache_clear()
+    rc, text = run(["isolated", "--nmax", "30", "--k", "5", "--mode", "dp"], tmp_path)
+    assert rc == 0 and len(text.splitlines()) == 31
+    assert set(orders) == {(5, 30)}
+    assert series.count_series.cache_info().misses == 1
+
+
+def test_density_custom_row_embeds_once(monkeypatch, tmp_path):
+    real = census.embed
+    calls = []
+
+    def counting_embed(*args, **kwargs):
+        calls.append(args[:2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(census, "embed", counting_embed)
+    argv = ["density", "--n", "4", "--k", "1", "--genset", "custom:x0,x1,x2"]
+    rc, text = run(argv + ["--boundary", "always"], tmp_path)
+    assert rc == 0
+    assert calls == [(4, 1)]
+    (row,) = list(csv.DictReader(text.splitlines()))
+    gs = group.by_name("custom:x0,x1,x2")
+    assert row["outer_boundary"] == str(census.outer_boundary_exact(4, 1, gs))
+
+
+def test_large_n_refused_by_cap(capsys):
+    # |B(1000, 3)| is counted before the cap check, with no recursion limit.
+    assert cli.main(["density", "--n", "1000", "--k", "3", "--boundary", "never"]) == 2
+    assert "exceeds enumeration cap" in capsys.readouterr().err
 
 
 def test_density_dp_trunc_keeps_bytes(tmp_path):

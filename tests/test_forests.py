@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdensity import forests, group
+from fdensity import census, forests, group
 from fdensity.errors import CapExceeded
 
 
@@ -53,6 +53,12 @@ def test_counts_golden():
     assert forests.count_bb(14, 4) == 1433465
     assert forests.count_bb(5, 0) == 5
     assert forests.count_bb(1, 3) == 1
+
+
+def test_count_bb_large_n_no_recursion_limit():
+    # The sequence recursion runs bottom-up: n well past the interpreter's
+    # recursion limit, checked against the independent series route.
+    assert forests.count_bb(1200, 3) == census.census_counts(1200, 3, "dp").total
 
 
 def test_enumerate_matches_count_on_grid():

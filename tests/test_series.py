@@ -1,10 +1,12 @@
 """Truncated integer series: the generating-function counting path."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdensity import forests, series
+from fdensity import census, cli, forests, series
 
 
 def test_series_arithmetic():
@@ -73,33 +75,95 @@ def test_catalan_prefix_of_phi():
         assert series.catalan_prefix_holds(k, k + 2)
 
 
+def _inclusion_exclusion_family(k, trunc):
+    """The blocked-count series by inclusion-exclusion, built product by
+    product from Phi_k and Phi_{k-1}: an oracle independent of the
+    G/S reduction in count_series."""
+    p = series.phi(k, trunc)
+    pprev = series.phi(k - 1, trunc)
+    g = p.geometric()
+    zs = series.z(trunc)
+    edge = p * g
+    blocked = edge + (p * p - pprev * pprev) * g * g
+    side = series.one(trunc) + (p - pprev) * g
+    return (
+        p * g * g,
+        zs * g * g,
+        edge,
+        edge,
+        blocked,
+        blocked,
+        side * zs * side,
+    )
+
+
+def test_count_series_matches_inclusion_exclusion():
+    for k in range(0, 7):
+        fam = series.count_series(k, 30)
+        oracle = _inclusion_exclusion_family(k, 30)
+        for n in range(0, 31):
+            assert fam.at(n) == tuple(s[n] for s in oracle), (k, n)
+
+
+def test_count_series_at_rejects_out_of_order():
+    fam = series.count_series(2, 8)
+    with pytest.raises(ValueError):
+        fam.at(9)
+
+
 def test_count_series_family_identities():
     for k in range(0, 6):
         fam = series.count_series(k, 12)
-        assert fam.total.coeffs == series.psi(k, 12).coeffs
-        # Blocked x1^-1 boundary equals trivial-marked boundary termwise.
-        assert fam.x1inv_blocked.coeffs == fam.trivial_marked.coeffs
-        assert fam.x1barinv_blocked.coeffs == fam.trivial_marked.coeffs
-        assert fam.marked_leftmost.coeffs == fam.marked_rightmost.coeffs
+        for n in range(13):
+            (total, trivial, left, right, x1inv, x1barinv, _) = fam.at(n)
+            assert total == series.psi(k, 12)[n]
+            # Blocked x1^-1 boundary equals trivial-marked boundary termwise.
+            assert x1inv == trivial
+            assert x1barinv == trivial
+            assert left == right
 
 
 def test_count_series_k0_everything_isolated():
     fam = series.count_series(0, 9)
     for n in range(1, 9):
-        assert fam.isolated[n] == n
-        assert fam.total[n] == n
+        (total, *_, isolated) = fam.at(n)
+        assert isolated == n
+        assert total == n
 
 
 def test_count_series_matches_enumeration():
     for k in range(0, 4):
         fam = series.count_series(k, 9)
         for n in range(1, 9):
+            (total, trivial, left, _, _, _, isolated) = fam.at(n)
             members = forests.enumerate_bb(n, k)
-            assert fam.total[n] == len(members)
-            assert fam.isolated[n] == sum(
-                1 for f in members if forests.is_isolated(f, k)
-            )
-            assert fam.trivial_marked[n] == sum(
-                1 for f in members if f.trees[f.mark] is None
-            )
-            assert fam.marked_leftmost[n] == sum(1 for f in members if f.mark == 0)
+            assert total == len(members)
+            assert isolated == sum(1 for f in members if forests.is_isolated(f, k))
+            assert trivial == sum(1 for f in members if f.trees[f.mark] is None)
+            assert left == sum(1 for f in members if f.mark == 0)
+
+
+def _bump_g(monkeypatch, at=5):
+    # Negative control: one G coefficient off by one.
+    real = census.count_series
+
+    def bumped(k, order):
+        fam = real(k, order)
+        g = list(fam.g.coeffs)
+        g[at] += 1
+        return dataclasses.replace(fam, g=series.TruncatedSeries(g))
+
+    monkeypatch.setattr(census, "count_series", bumped)
+
+
+def test_bumped_series_breaks_both_route(monkeypatch):
+    assert census.census_counts(12, 4, "both").total == forests.count_bb(12, 4)
+    _bump_g(monkeypatch)
+    with pytest.raises(AssertionError):
+        census.census_counts(12, 4, "both")
+
+
+def test_bumped_series_exits_4(monkeypatch, capsys):
+    _bump_g(monkeypatch)
+    assert cli.main(["density", "--n", "12", "--k", "4", "--mode", "both"]) == 4
+    assert "internal invariant violated" in capsys.readouterr().err
