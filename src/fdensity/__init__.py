@@ -3,8 +3,7 @@ Thompson's group F.
 
 Layers:
 
-- ``group``: words and normal forms in F, generating sets, balls, exact
-  boundary statistics of arbitrary finite subsets.
+- ``group``: words and normal forms in F, generating sets, balls.
 - ``forests``: marked binary forests, the partial generator actions, and
   the height-bounded families B(n, k).
 - ``series``: truncated integer power series for the same counts
@@ -12,9 +11,10 @@ Layers:
 - ``intervals``: rational interval arithmetic, certified enclosures of the
   singularities xi_k, and the limit densities they determine.
 - ``census``: per-family statistics combining both counting paths (the
-  exhaustive census walk and the series), the breadth-first embedding of
-  B(n, k) into F, exact Cayley-graph boundaries, and the doubling-property
-  bound.
+  exhaustive census walk and the series), read through ``CensusCounts``
+  (including the doubling-property bound); exact statistics and outer
+  boundary of any finite set of elements in one pass; the breadth-first
+  embedding of B(n, k) into F.
 """
 
 __version__ = "0.1.0"
@@ -33,7 +33,6 @@ from .group import (
     format_word,
     invert,
     multiply,
-    multiply_word,
     normalize,
     parse_nf,
     parse_word,
@@ -67,18 +66,12 @@ from .intervals import (
 )
 from .census import (
     CensusCounts,
-    DoublingBound,
     Embedding,
     EmbeddingError,
     SubgraphStats,
-    bprime_stats,
     census_counts,
-    doubling_bound,
     embed,
-    isolated_census,
-    outer_boundary,
     outer_boundary_exact,
-    stats_bb,
     stats_elements,
 )
 
@@ -89,7 +82,6 @@ __all__ = [
     "CertificationError",
     "CertifiedInterval",
     "DEFAULT_TOL",
-    "DoublingBound",
     "Embedding",
     "EmbeddingError",
     "GenSetSpec",
@@ -105,7 +97,6 @@ __all__ = [
     "apply_word",
     "ball",
     "base_forest",
-    "bprime_stats",
     "by_name",
     "catalan",
     "census_counts",
@@ -115,7 +106,6 @@ __all__ = [
     "count_bb",
     "count_series",
     "decode_forest",
-    "doubling_bound",
     "embed",
     "encode_forest",
     "enumerate_bb",
@@ -123,13 +113,10 @@ __all__ = [
     "format_word",
     "invert",
     "is_isolated",
-    "isolated_census",
     "iter_bb",
     "limit_fractions",
     "multiply",
-    "multiply_word",
     "normalize",
-    "outer_boundary",
     "outer_boundary_exact",
     "parse_nf",
     "parse_word",
@@ -139,7 +126,6 @@ __all__ = [
     "psi",
     "sigma",
     "sphere_sizes",
-    "stats_bb",
     "stats_elements",
     "verify_relation",
     "word_xn",

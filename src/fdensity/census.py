@@ -16,7 +16,7 @@ since some Cayley neighbours of B(n, k) are not n-leaf marked forests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
@@ -27,10 +27,10 @@ from .forests import (
     MarkedForest,
     apply_within,
     base_forest,
-    count_bb,
     count_trees_exact_height,
     encode_forest,
     enumerate_bb,
+    _count_bb_within_cap,
     _seq_counts,
 )
 from .group import (
@@ -129,7 +129,7 @@ class CensusCounts:
 
     n: int
     k: int
-    mode: str
+    mode: str = field(compare=False)
     total: int
     trivial: int
     leftmost: int
@@ -137,25 +137,6 @@ class CensusCounts:
     x1inv_blocked: int
     x1barinv_blocked: int
     isolated: int
-
-    def same_counts(self, other: "CensusCounts") -> bool:
-        return (
-            self.total,
-            self.trivial,
-            self.leftmost,
-            self.rightmost,
-            self.x1inv_blocked,
-            self.x1barinv_blocked,
-            self.isolated,
-        ) == (
-            other.total,
-            other.trivial,
-            other.leftmost,
-            other.rightmost,
-            other.x1inv_blocked,
-            other.x1barinv_blocked,
-            other.isolated,
-        )
 
     def stats(self, genset: GenSetSpec) -> "SubgraphStats":
         """Induced-subgraph statistics of B(n, k) under a named generating set."""
@@ -194,7 +175,7 @@ class CensusCounts:
         blocked = tuple((label, remaining - cnt) for label, cnt in internal)
         return SubgraphStats(vertices=remaining, internal=internal, blocked=blocked)
 
-    def doubling_bound(self) -> "DoublingBound":
+    def doubling_bound(self) -> int:
         """Edge-selection upper bound on #dY for Y = B(n, k), extended set.
 
         Every boundary vertex v keeps an edge back into Y, and mapping v to
@@ -213,8 +194,7 @@ class CensusCounts:
         Total: 3*trivial + 2*leftmost + rightmost.  Since leftmost and
         rightmost are o(|B(n,k)|), the ratio tends to 3 xi_k.
         """
-        bound = 3 * self.trivial + 2 * self.leftmost + self.rightmost
-        return DoublingBound(n=self.n, k=self.k, upper_bound=bound, total=self.total)
+        return 3 * self.trivial + 2 * self.leftmost + self.rightmost
 
 
 def census_counts(
@@ -236,15 +216,11 @@ def census_counts(
     if mode == "both":
         a = census_counts(n, k, "enumerate", cap)
         b = census_counts(n, k, "dp", cap, trunc)
-        if not a.same_counts(b):
+        if a != b:
             raise AssertionError(f"enumerate/dp disagree at n={n} k={k}: {a} {b}")
         return a
     if mode == "enumerate":
-        estimate = count_bb(n, k)
-        if estimate > cap:
-            raise CapExceeded(
-                f"|B({n},{k})| = {estimate} exceeds enumeration cap {cap}"
-            )
+        estimate = _count_bb_within_cap(n, k, cap)
         (total, trivial, leftmost, rightmost, right_b, left_b, iso, seqs) = _walk(
             n, k, _height_table(n, k)
         )
@@ -272,12 +248,14 @@ class SubgraphStats:
 
     For each signed generator a, internal(a) + blocked(a) = #Y: every
     vertex either keeps its a-edge inside Y or contributes one Cheeger
-    boundary edge.
+    boundary edge.  outer_boundary is #dY, known only in the element
+    model (None for forest-model statistics).
     """
 
     vertices: int
     internal: tuple[tuple[str, int], ...]
     blocked: tuple[tuple[str, int], ...]
+    outer_boundary: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.vertices <= 0:
@@ -308,36 +286,42 @@ class SubgraphStats:
     def density(self) -> Fraction:
         return Fraction(self.degree_sum, self.vertices)
 
-    def per_label_internal(self) -> dict[str, int]:
-        return dict(self.internal)
-
     def per_label_blocked(self) -> dict[str, int]:
         return dict(self.blocked)
 
 
-def stats_bb(
-    n: int,
-    k: int,
-    genset: GenSetSpec,
-    mode: str = "enumerate",
-    cap: int = DEFAULT_CAP,
+def stats_elements(
+    elements: Iterable[NormalForm], genset: GenSetSpec
 ) -> SubgraphStats:
-    """Induced-subgraph statistics of B(n, k) under a named generating set."""
-    return census_counts(n, k, mode, cap).stats(genset)
+    """Exact induced-subgraph statistics over a finite set Y of elements.
 
-
-def isolated_census(
-    n: int, k: int, mode: str = "enumerate", cap: int = DEFAULT_CAP
-) -> int:
-    """Vertices of B(n, k) with all four symmetric-set labels blocked."""
-    return census_counts(n, k, mode, cap).isolated
-
-
-def bprime_stats(
-    n: int, k: int, mode: str = "enumerate", cap: int = DEFAULT_CAP
-) -> SubgraphStats:
-    """Statistics of B'(n, k); see CensusCounts.bprime."""
-    return census_counts(n, k, mode, cap).bprime()
+    One pass over the products y*s (y in Y, s a signed generator) counts
+    the edges leaving Y per label and collects their endpoints, whose
+    number is the outer boundary #dY (a vertex set, so deduplicated by
+    normal form).
+    """
+    Y = set(elements)
+    if not Y:
+        raise ValueError("statistics need a nonempty vertex set")
+    internal = []
+    blocked = []
+    outside: set[NormalForm] = set()
+    for label, word in genset.signed():
+        step = normalize(word)
+        leaving = 0
+        for y in Y:
+            t = multiply(y, step)
+            if t not in Y:
+                outside.add(t)
+                leaving += 1
+        internal.append((label, len(Y) - leaving))
+        blocked.append((label, leaving))
+    return SubgraphStats(
+        vertices=len(Y),
+        internal=tuple(internal),
+        blocked=tuple(blocked),
+        outer_boundary=len(outside),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +335,6 @@ class Embedding:
     n: int
     k: int
     assignment: tuple[tuple[MarkedForest, NormalForm], ...]
-
-    @property
-    def base(self) -> MarkedForest:
-        return base_forest(self.n)
 
     def mapping(self) -> dict[MarkedForest, NormalForm]:
         return dict(self.assignment)
@@ -423,66 +403,5 @@ def outer_boundary_exact(
     n_cap: int = EMBED_N_CAP,
     cap: int = DEFAULT_CAP,
 ) -> int:
-    """#dY for Y = B(n, k) embedded in the Cayley graph; see outer_boundary."""
-    return outer_boundary(embed(n, k, n_cap, cap).image(), genset)
-
-
-@dataclass(frozen=True)
-class DoublingBound:
-    """Edge-selection upper bound on #dY for Y = B(n, k), extended set."""
-
-    n: int
-    k: int
-    upper_bound: int
-    total: int
-
-    @property
-    def ratio(self) -> Fraction:
-        return Fraction(self.upper_bound, self.total)
-
-
-def doubling_bound(
-    n: int, k: int, mode: str = "enumerate", cap: int = DEFAULT_CAP
-) -> DoublingBound:
-    """Edge-selection upper bound on #dY for Y = B(n, k), extended set; see
-    CensusCounts.doubling_bound."""
-    return census_counts(n, k, mode, cap).doubling_bound()
-
-
-# ---------------------------------------------------------------------------
-# element-model statistics
-
-
-def stats_elements(
-    elements: Iterable[NormalForm], genset: GenSetSpec
-) -> SubgraphStats:
-    """Exact induced-subgraph statistics over a finite set of elements."""
-    Y = set(elements)
-    if not Y:
-        raise ValueError("statistics need a nonempty vertex set")
-    internal = []
-    blocked = []
-    for label, word in genset.signed():
-        step = normalize(word)
-        inn = sum(1 for y in Y if multiply(y, step) in Y)
-        internal.append((label, inn))
-        blocked.append((label, len(Y) - inn))
-    return SubgraphStats(
-        vertices=len(Y), internal=tuple(internal), blocked=tuple(blocked)
-    )
-
-
-def outer_boundary(elements: Iterable[NormalForm], genset: GenSetSpec) -> int:
-    """#dY for a finite set Y of elements, exactly.
-
-    Boundary vertices are deduplicated by normal form (dY is a vertex set).
-    """
-    Y = set(elements)
-    steps = [normalize(w) for _, w in genset.signed()]
-    outside: set[NormalForm] = set()
-    for y in Y:
-        for s in steps:
-            t = multiply(y, s)
-            if t not in Y:
-                outside.add(t)
-    return len(outside)
+    """#dY for Y = B(n, k) embedded in the Cayley graph."""
+    return stats_elements(embed(n, k, n_cap, cap).image(), genset).outer_boundary

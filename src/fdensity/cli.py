@@ -35,6 +35,8 @@ TAG_INTERVAL = "[certified-interval]"
 TAG_LIMIT = "[derived-limit-formula]"
 TAG_NF = "[exact-normal-form]"
 
+_PROVENANCE = {"enumerate": TAG_ENUM, "dp": TAG_DP, "both": f"{TAG_ENUM} {TAG_DP}"}
+
 
 class UsageError(ValueError):
     pass
@@ -230,11 +232,9 @@ def _series_order(trunc: Optional[int], ns: Iterable[int], mode: str) -> int:
 def _density_row(job: tuple) -> dict:
     n, k, genset_name, mode, cap, boundary, trunc = job
     genset = group.by_name(genset_name)
-    prov = {"enumerate": TAG_ENUM, "dp": TAG_DP, "both": f"{TAG_ENUM} {TAG_DP}"}[mode]
-    image = None
+    prov = _PROVENANCE[mode]
     if genset.name == "custom":
-        image = census.embed(n, k, cap=cap).image()
-        st = census.stats_elements(image, genset)
+        st = census.stats_elements(census.embed(n, k, cap=cap).image(), genset)
         prov = TAG_ENUM
         counts = census.census_counts(
             n, k, "dp" if mode == "dp" else "enumerate", cap, trunc
@@ -253,7 +253,7 @@ def _density_row(job: tuple) -> dict:
         "density": _decimal(st.density),
         "cheeger": st.cheeger_total,
         "isolated": counts.isolated,
-        "doubling_upper_bound": counts.doubling_bound().upper_bound,
+        "doubling_upper_bound": counts.doubling_bound(),
         "provenance": prov,
     }
     if counts.total > counts.isolated:
@@ -266,8 +266,8 @@ def _density_row(job: tuple) -> dict:
     if compute_boundary:
         row["outer_boundary"] = (
             census.outer_boundary_exact(n, k, genset, cap=cap)
-            if image is None
-            else census.outer_boundary(image, genset)
+            if st.outer_boundary is None
+            else st.outer_boundary
         )
     return row
 
@@ -383,7 +383,7 @@ def _theorem2_row(job: tuple[int, Fraction]) -> dict:
 
 def _theorem2_check_row(job: tuple[int, int, int]) -> dict:
     n, k, cap = job
-    bound = census.doubling_bound(n, k, cap=cap)
+    bound = census.census_counts(n, k, cap=cap).doubling_bound()
     outer = census.outer_boundary_exact(
         n, k, group.GenSetSpec.extended(), cap=cap
     )
@@ -391,8 +391,8 @@ def _theorem2_check_row(job: tuple[int, int, int]) -> dict:
         "n": n,
         "k": k,
         "outer_boundary": outer,
-        "upper_bound": bound.upper_bound,
-        "within_bound": "yes" if outer <= bound.upper_bound else "NO",
+        "upper_bound": bound,
+        "within_bound": "yes" if outer <= bound else "NO",
         "provenance": TAG_ENUM,
     }
 
@@ -505,8 +505,6 @@ def cmd_embed_verify(args: argparse.Namespace) -> int:
     rows = _pmap(_embed_row, [(n, k, args.cap) for n, k in pairs], args.threads)
     columns = ["n", "k", "forests", "distinct_elements", "status", "provenance"]
     if args.list:
-        if len(pairs) != 1:
-            raise UsageError("--list requires explicit --n and --k")
         emb = census.embed(*pairs[0], cap=args.cap)
         columns += ["forest", "element"]
         rows += [
@@ -546,7 +544,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def _isolated_row(job: tuple) -> dict:
     n, k, mode, cap, trunc = job
     counts = census.census_counts(n, k, mode, cap, trunc)
-    prov = {"enumerate": TAG_ENUM, "dp": TAG_DP, "both": f"{TAG_ENUM} {TAG_DP}"}[mode]
     return {
         "n": n,
         "k": k,
@@ -554,7 +551,7 @@ def _isolated_row(job: tuple) -> dict:
         "trivial_marked": counts.trivial,
         "x1inv_blocked": counts.x1inv_blocked,
         "isolated": counts.isolated,
-        "provenance": prov,
+        "provenance": _PROVENANCE[mode],
     }
 
 
@@ -676,9 +673,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"fdensity: invalid configuration: {exc}", file=sys.stderr)
-        return 3
     except ValueError as exc:
         print(f"fdensity: invalid configuration: {exc}", file=sys.stderr)
         return 3

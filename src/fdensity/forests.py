@@ -292,6 +292,29 @@ def count_bb(n: int, k: int) -> int:
     return _seq_counts(n, k)[1]
 
 
+# Up to this many steps (n^2 min(k, n), about 50 ms) the exact |B(n, k)| is
+# computed even for a census that is refused, so the message can name it.
+_EXACT_COUNT_WORK = 10**6
+
+
+def _count_bb_within_cap(n: int, k: int, cap: int) -> int:
+    """|B(n, k)|, or CapExceeded when it is above cap.
+
+    The exact count takes O(n^2 min(k, n)) steps; B(n, min(k, 2)) is a
+    subset of B(n, k) counted in O(n).  When the exact count is costly and
+    that subset alone is over the cap, the census is refused without it.
+    """
+    low = count_bb(n, min(k, 2))
+    if low > cap and n * n * min(k, n) > _EXACT_COUNT_WORK:
+        raise CapExceeded(
+            f"|B({n},{k})| >= |B({n},2)| = {low} exceeds enumeration cap {cap}"
+        )
+    total = count_bb(n, k)
+    if total > cap:
+        raise CapExceeded(f"|B({n},{k})| = {total} exceeds enumeration cap {cap}")
+    return total
+
+
 def _iter_sequences(n: int, k: int) -> Iterator[tuple[Tree, ...]]:
     if n == 0:
         yield ()
@@ -311,9 +334,7 @@ def iter_bb(n: int, k: int) -> Iterator[MarkedForest]:
 
 def enumerate_bb(n: int, k: int, cap: int = 10**8) -> list[MarkedForest]:
     """All of B(n, k) in encode-lex order; refuses if the count exceeds cap."""
-    total = count_bb(n, k)
-    if total > cap:
-        raise CapExceeded(f"|B({n},{k})| = {total} exceeds cap {cap}")
+    _count_bb_within_cap(n, k, cap)
     out = list(iter_bb(n, k))
     out.sort(key=encode_forest)
     return out

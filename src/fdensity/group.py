@@ -253,10 +253,6 @@ def invert(a: NormalForm) -> NormalForm:
     return NormalForm(a.neg, a.pos)
 
 
-def multiply_word(a: NormalForm, word: Iterable[Letter]) -> NormalForm:
-    return _fold(list(a.pos), list(a.neg), word)
-
-
 def verify_relation(lhs: Word, rhs: Word) -> bool:
     """Do two words represent the same element of F?"""
     return normalize(lhs) == normalize(rhs)
@@ -283,8 +279,7 @@ def apply_endomorphism(images: dict[int, Word], g: NormalForm) -> NormalForm:
     """
     if 0 not in images or 1 not in images:
         raise ValueError("images must be defined for x0 and x1")
-    p: list[int] = []
-    q: list[int] = []
+    image: list[Letter] = []
     for i, s in letters(g):
         if i in images:
             w = images[i]
@@ -294,15 +289,8 @@ def apply_endomorphism(images: dict[int, Word], g: NormalForm) -> NormalForm:
                 images[1],
                 power(images[0], i - 1),
             )
-        if s < 0:
-            w = inverse_word(w)
-        for j, t in w:
-            if t > 0:
-                _append_pos(p, q, j)
-            else:
-                _append_neg(q, j)
-    _reduce(p, q)
-    return NormalForm(tuple(p), tuple(q))
+        image.extend(w if s > 0 else inverse_word(w))
+    return normalize(image)
 
 
 def sigma(g: NormalForm) -> NormalForm:
@@ -403,18 +391,6 @@ def ball(genset: GenSetSpec, radius: int, cap: int = 10**7) -> dict[NormalForm, 
                     layer.append(h)
         frontier = sorted(layer, key=_nf_key)
     return dist
-
-
-def cheeger_per_label(
-    elements: Iterable[NormalForm], genset: GenSetSpec
-) -> dict[str, int]:
-    """For each signed generator a, #{y in Y : y a outside Y}."""
-    Y = set(elements)
-    out: dict[str, int] = {}
-    for label, word in genset.signed():
-        step = normalize(word)
-        out[label] = sum(1 for y in Y if multiply(y, step) not in Y)
-    return out
 
 
 def sphere_sizes(genset: GenSetSpec, radius: int, cap: int = 10**7) -> list[int]:

@@ -79,9 +79,6 @@ class TruncatedSeries:
                     out[i + j] += a * b
         return TruncatedSeries(out)
 
-    def scale(self, c: int) -> "TruncatedSeries":
-        return TruncatedSeries(c * a for a in self.coeffs)
-
     def geometric(self) -> "TruncatedSeries":
         """1 / (1 - self); requires zero constant term."""
         if self.coeffs[0] != 0:
@@ -112,14 +109,23 @@ def catalan(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _phi_chain(trunc: int) -> list[TruncatedSeries]:
+    """[Phi_0, Phi_1, ...] through z^trunc, extended in place by phi."""
+    return [z(trunc)]
+
+
 def phi(k: int, trunc: int) -> TruncatedSeries:
-    """Phi_k truncated; [z^n] counts binary trees with n leaves, height <= k."""
+    """Phi_k truncated; [z^n] counts binary trees with n leaves, height <= k.
+
+    Each Phi_k not yet built costs one squaring of the one before, in a
+    loop, so no recursion depth grows with k.
+    """
     if k < 0:
         return zero(trunc)
-    if k == 0:
-        return z(trunc)
-    p = phi(k - 1, trunc)
-    return z(trunc) + p * p
+    chain = _phi_chain(trunc)
+    while len(chain) <= k:
+        chain.append(z(trunc) + chain[-1] * chain[-1])
+    return chain[k]
 
 
 @lru_cache(maxsize=None)

@@ -66,7 +66,7 @@ def test_c02_dual_path_exactness():
         for k in range(0, GRID_K + 1):
             a = census.census_counts(n, k, "enumerate")
             b = census.census_counts(n, k, "dp")
-            ok = ok and a.same_counts(b)
+            ok = ok and a == b
             cells += 1
     ok = ok and (time.monotonic() - t0) < 120.0
     assert _report(
@@ -80,7 +80,7 @@ def test_c03_per_label_pairing():
     for n in range(1, GRID_N + 1):
         for k in range(0, GRID_K + 1):
             for gs in GENSETS.values():
-                blocked = census.stats_bb(n, k, gs).per_label_blocked()
+                blocked = census.census_counts(n, k).stats(gs).per_label_blocked()
                 for lbl, _ in gs.gens:
                     ok = ok and blocked[lbl] == blocked[lbl + "^-1"]
     ball5 = sorted(group.ball(GENSETS["standard"], 5), key=group.format_nf)
@@ -90,7 +90,7 @@ def test_c03_per_label_pairing():
         size = rng.randrange(1, len(ball5) + 1)
         sub = set(rng.sample(ball5, size))
         for gs in GENSETS.values():
-            counts = group.cheeger_per_label(sub, gs)
+            counts = census.stats_elements(sub, gs).per_label_blocked()
             for lbl, _ in gs.gens:
                 ok = ok and counts[lbl] == counts[lbl + "^-1"]
         subsets += 1
@@ -106,13 +106,13 @@ def test_c03_per_label_pairing():
 def test_c04_small_case_goldens():
     t0 = time.monotonic()
     ok = forests.count_bb(3, 1) == 7
-    st = census.stats_bb(2, 1, GENSETS["symmetric"])
+    st = census.census_counts(2, 1).stats(GENSETS["symmetric"])
     ok = ok and st.density == F(4, 3) and st.cheeger_total == 8
     identity_cells = 0
     for n in range(1, 13):
         for k in range(0, GRID_K + 1):
             for gs in GENSETS.values():
-                s = census.stats_bb(n, k, gs)
+                s = census.census_counts(n, k).stats(gs)
                 lhs = s.density + F(s.cheeger_total, s.vertices)
                 ok = ok and lhs == 2 * s.m
                 identity_cells += 1
@@ -157,8 +157,9 @@ def test_c06_density_limits():
     t0 = time.monotonic()
     n_big = 512
     lim3 = intervals.limit_fractions(3)
-    std = census.stats_bb(n_big, 3, GENSETS["standard"], mode="dp").density
-    sym = census.stats_bb(n_big, 3, GENSETS["symmetric"], mode="dp").density
+    counts = census.census_counts(n_big, 3, mode="dp")
+    std = counts.stats(GENSETS["standard"]).density
+    sym = counts.stats(GENSETS["symmetric"]).density
     gap_std = abs(std - lim3.density_standard.mid)
     gap_sym = abs(sym - lim3.density_symmetric.mid)
     ok = gap_std < F(5, 100) and gap_sym < F(5, 100)
@@ -223,7 +224,7 @@ def test_c08_doubling_failure():
     for n in range(1, 11):
         for k in range(0, 4):
             outer = census.outer_boundary_exact(n, k, GENSETS["extended"])
-            ok = ok and outer <= census.doubling_bound(n, k).upper_bound
+            ok = ok and outer <= census.census_counts(n, k).doubling_bound()
     prev = None
     for k in sorted(enclosures):
         iv = 1 + enclosures[k]
@@ -255,7 +256,7 @@ def test_c09_embedding_oracle():
         for k in range(0, 4):
             elements = census.embed(n, k).image()
             for gs in GENSETS.values():
-                fs = census.stats_bb(n, k, gs)
+                fs = census.census_counts(n, k).stats(gs)
                 es = census.stats_elements(elements, gs)
                 ok = (
                     ok

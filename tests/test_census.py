@@ -1,5 +1,6 @@
 """Census statistics, the embedding oracle, and the doubling bound."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ def test_census_counts_trunc_prefix_stable():
     # Reading [z^n] from a longer series gives the same tallies.
     a = census.census_counts(7, 2, "dp")
     b = census.census_counts(7, 2, "dp", trunc=25)
-    assert a.same_counts(b)
+    assert a == b
     with pytest.raises(ValueError):
         census.census_counts(7, 2, "dp", trunc=3)
 
@@ -47,7 +48,7 @@ def test_census_counts_rule_based_oracle():
 
 
 def test_stats_b21_symmetric_golden():
-    st = census.stats_bb(2, 1, group.GenSetSpec.symmetric())
+    st = census.census_counts(2, 1).stats(group.GenSetSpec.symmetric())
     assert st.vertices == 3
     assert st.degree_sum == 4
     assert st.density == Fraction(4, 3)
@@ -64,7 +65,7 @@ def test_handshake_identity_all_gensets():
     for n in range(1, 10):
         for k in range(0, 4):
             for gs in gensets:
-                st = census.stats_bb(n, k, gs)
+                st = census.census_counts(n, k).stats(gs)
                 assert st.degree_sum + st.cheeger_total == 2 * st.m * st.vertices
 
 
@@ -72,7 +73,7 @@ def test_per_label_boundary_pairing():
     # Blocked counts agree for each label and its inverse.
     for n in range(1, 10):
         for k in range(0, 4):
-            st = census.stats_bb(n, k, group.GenSetSpec.extended())
+            st = census.census_counts(n, k).stats(group.GenSetSpec.extended())
             blocked = st.per_label_blocked()
             for lbl in ("x0", "x1", "x1bar"):
                 assert blocked[lbl] == blocked[lbl + "^-1"], (n, k, lbl)
@@ -81,28 +82,29 @@ def test_per_label_boundary_pairing():
 def test_stats_modes_agree():
     for n in (3, 7, 11):
         for k in (0, 1, 3):
-            a = census.stats_bb(n, k, group.GenSetSpec.symmetric(), mode="enumerate")
-            b = census.stats_bb(n, k, group.GenSetSpec.symmetric(), mode="dp")
+            sym = group.GenSetSpec.symmetric()
+            a = census.census_counts(n, k, mode="enumerate").stats(sym)
+            b = census.census_counts(n, k, mode="dp").stats(sym)
             assert a == b
 
 
-def test_isolated_census_goldens():
-    assert census.isolated_census(5, 0) == 5
-    assert census.isolated_census(2, 1) == 0
-    assert census.isolated_census(3, 1) == 2
+def test_isolated_count_goldens():
+    assert census.census_counts(5, 0).isolated == 5
+    assert census.census_counts(2, 1).isolated == 0
+    assert census.census_counts(3, 1).isolated == 2
 
 
-def test_bprime_stats():
-    st = census.bprime_stats(3, 1)
+def test_bprime_census():
+    st = census.census_counts(3, 1).bprime()
     assert st.vertices == 5
     assert st.density == Fraction(8, 5)
     # Dropping isolated vertices keeps the degree sum.
-    full = census.stats_bb(3, 1, group.GenSetSpec.symmetric())
+    full = census.census_counts(3, 1).stats(group.GenSetSpec.symmetric())
     assert st.degree_sum == full.degree_sum
     with pytest.raises(ValueError):
-        census.bprime_stats(4, 0)  # every vertex isolated
+        census.census_counts(4, 0).bprime()  # every vertex isolated
     with pytest.raises(ValueError):
-        census.bprime_stats(1, 2)
+        census.census_counts(1, 2).bprime()
 
 
 def test_bprime_density_majorizes_full():
@@ -111,8 +113,8 @@ def test_bprime_density_majorizes_full():
             c = census.census_counts(n, k)
             if c.total == c.isolated:
                 continue
-            full = census.stats_bb(n, k, group.GenSetSpec.symmetric())
-            bp = census.bprime_stats(n, k)
+            full = c.stats(group.GenSetSpec.symmetric())
+            bp = c.bprime()
             assert bp.density >= full.density
 
 
@@ -171,7 +173,7 @@ def test_transport_equality_forest_vs_element_model():
         group.GenSetSpec.symmetric(),
         group.GenSetSpec.extended(),
     ):
-        forest_side = census.stats_bb(6, 2, gs)
+        forest_side = census.census_counts(6, 2).stats(gs)
         element_side = census.stats_elements(elements, gs)
         assert forest_side.vertices == element_side.vertices
         assert forest_side.degree_sum == element_side.degree_sum
@@ -182,15 +184,17 @@ def test_transport_equality_forest_vs_element_model():
 def test_doubling_bound_holds_small_grid():
     for n in range(1, 9):
         for k in range(0, 3):
-            bound = census.doubling_bound(n, k)
+            bound = census.census_counts(n, k).doubling_bound()
             outer = census.outer_boundary_exact(n, k, group.GenSetSpec.extended())
-            assert outer <= bound.upper_bound, (n, k, outer, bound.upper_bound)
+            assert outer <= bound, (n, k, outer, bound)
 
 
 def test_doubling_ratio_tracks_3xi():
     # bound/#Y for B(n,2) approaches 3*xi_2 ~ 1.452 from above as n grows.
-    r16 = census.doubling_bound(16, 2, "dp").ratio
-    r64 = census.doubling_bound(64, 2, "dp").ratio
+    c16 = census.census_counts(16, 2, "dp")
+    c64 = census.census_counts(64, 2, "dp")
+    r16 = Fraction(c16.doubling_bound(), c16.total)
+    r64 = Fraction(c64.doubling_bound(), c64.total)
     assert Fraction(29, 20) < r64 < r16
     assert r64 < Fraction(9, 5)
 
@@ -203,3 +207,36 @@ def test_stats_elements_on_ball():
     assert st.degree_sum + st.cheeger_total == 2 * 2 * 17
     with pytest.raises(ValueError):
         census.stats_elements(set(), gs)
+
+
+def _outer_boundary_oracle(elements, genset):
+    """#dY by its definition, in a loop of its own: the neighbours y*s
+    outside Y, deduplicated by normal form."""
+    Y = set(elements)
+    steps = [group.normalize(w) for _, w in genset.signed()]
+    outside = set()
+    for y in Y:
+        for s in steps:
+            t = group.multiply(y, s)
+            if t not in Y:
+                outside.add(t)
+    return len(outside)
+
+
+def test_stats_elements_outer_boundary_matches_oracle():
+    gensets = (
+        group.GenSetSpec.standard(),
+        group.GenSetSpec.symmetric(),
+        group.GenSetSpec.extended(),
+        group.GenSetSpec.custom(["x0 x1", "X2", "x1 x1"]),
+    )
+    ball5 = sorted(group.ball(group.GenSetSpec.standard(), 5), key=group.format_nf)
+    rng = random.Random(4242)
+    sets = [set(rng.sample(ball5, rng.randrange(1, len(ball5) + 1))) for _ in range(8)]
+    sets += [census.embed(n, k).image() for n in range(1, 7) for k in range(0, 3)]
+    for Y in sets:
+        for gs in gensets:
+            st = census.stats_elements(Y, gs)
+            assert st.outer_boundary == _outer_boundary_oracle(Y, gs)
+    # The forest model cannot see dY.
+    assert census.census_counts(4, 1).stats(gensets[0]).outer_boundary is None

@@ -2,10 +2,11 @@
 
 import csv
 import json
+import time
 
 import pytest
 
-from fdensity import census, cli, group, series
+from fdensity import census, cli, forests, group, series
 
 
 def run(argv, tmp_path, name="out"):
@@ -132,18 +133,39 @@ def test_isolated_table_builds_one_series(monkeypatch, tmp_path):
 
 
 def test_density_custom_row_embeds_once(monkeypatch, tmp_path):
-    real = census.embed
+    # One embedding, and one product y*s per element and signed generator
+    # for the statistics and the boundary together.
+    real_embed, real_stats, real_multiply = (
+        census.embed, census.stats_elements, census.multiply)
     calls = []
+    seen = {"stats": 0, "multiply": 0, "embedding": False}
 
     def counting_embed(*args, **kwargs):
         calls.append(args[:2])
-        return real(*args, **kwargs)
+        seen["embedding"] = True
+        try:
+            return real_embed(*args, **kwargs)
+        finally:
+            seen["embedding"] = False
+
+    def counting_stats(*args):
+        seen["stats"] += 1
+        return real_stats(*args)
+
+    def counting_multiply(a, b):
+        if not seen["embedding"]:
+            seen["multiply"] += 1
+        return real_multiply(a, b)
 
     monkeypatch.setattr(census, "embed", counting_embed)
+    monkeypatch.setattr(census, "stats_elements", counting_stats)
+    monkeypatch.setattr(census, "multiply", counting_multiply)
     argv = ["density", "--n", "4", "--k", "1", "--genset", "custom:x0,x1,x2"]
     rc, text = run(argv + ["--boundary", "always"], tmp_path)
     assert rc == 0
     assert calls == [(4, 1)]
+    assert seen["stats"] == 1
+    assert seen["multiply"] == 2 * 3 * forests.count_bb(4, 1)
     (row,) = list(csv.DictReader(text.splitlines()))
     gs = group.by_name("custom:x0,x1,x2")
     assert row["outer_boundary"] == str(census.outer_boundary_exact(4, 1, gs))
@@ -152,6 +174,13 @@ def test_density_custom_row_embeds_once(monkeypatch, tmp_path):
 def test_large_n_refused_by_cap(capsys):
     # |B(1000, 3)| is counted before the cap check, with no recursion limit.
     assert cli.main(["density", "--n", "1000", "--k", "3", "--boundary", "never"]) == 2
+    assert "exceeds enumeration cap" in capsys.readouterr().err
+    # The exact |B(1000, 1000)| takes O(n^3) steps; B(1000, 2), a subset
+    # already over the cap, refuses it first.
+    t0 = time.monotonic()
+    argv = ["density", "--n", "1000", "--k", "1000", "--boundary", "never"]
+    assert cli.main(argv) == 2
+    assert time.monotonic() - t0 < 10
     assert "exceeds enumeration cap" in capsys.readouterr().err
 
 
@@ -179,6 +208,19 @@ def test_isolated_table(tmp_path):
     assert [r["beta"] for r in rows] == ["1", "3", "7", "15", "30"]
     assert [r["isolated"] for r in rows] == ["1", "0", "2", "2", "5"]
     assert rows[0]["provenance"] == "[exact-enumeration] [exact-dp]"
+
+
+def test_isolated_large_k_matches_saturated_k(tmp_path):
+    # B(20, k) is the same set for every k >= 19, and building Phi_1500
+    # needs no recursion 1500 deep.
+    base = ["isolated", "--n", "20", "--mode", "dp"]
+    rc, deep = run(base + ["--k", "1500"], tmp_path, "deep")
+    assert rc == 0
+    _, flat = run(base + ["--k", "19"], tmp_path, "flat")
+    ((deep_row,), (flat_row,)) = (
+        list(csv.DictReader(t.splitlines())) for t in (deep, flat))
+    assert deep_row.pop("k") == "1500" and flat_row.pop("k") == "19"
+    assert deep_row == flat_row
 
 
 def test_enumerate_listing(tmp_path):

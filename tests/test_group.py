@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdensity import group
+from fdensity import census, group
 from fdensity.errors import CapExceeded
 
 
@@ -190,10 +190,10 @@ def test_genset_specs():
         group.by_name("nonsense")
 
 
-def test_cheeger_per_label_pairing_on_ball():
+def test_per_label_boundary_pairing_on_ball():
     genset = group.GenSetSpec.standard()
     elements = set(group.ball(genset, 3))
-    counts = group.cheeger_per_label(elements, genset)
+    counts = census.stats_elements(elements, genset).per_label_blocked()
     for lbl, _ in genset.gens:
         assert counts[lbl] == counts[lbl + "^-1"]
 

@@ -16,7 +16,6 @@ def test_series_arithmetic():
     assert (a + b).coeffs == (1, 3, 3)
     assert (a - b).coeffs == (1, 1, 3)
     assert (a * b).coeffs == (0, 1, 2)
-    assert a.scale(2).coeffs == (2, 4, 6)
     assert a[2] == 3
 
 
