@@ -1,0 +1,93 @@
+"""Time two layers: normal-form multiplication and the xi_k bisection.
+
+Usage: python benchmarks/bench_layers.py [--n 10] [--k 3] [--kmax 512] [--repeats 3]
+
+multiply: group.multiply over embed(n, k).image() x the six signed steps
+of the extended set {x0, x1, x1bar}, in microseconds per call (minimum
+over the repeats).  Every product must equal the word fold of the
+normal-form letters, _fold(a.pos, a.neg, letters(b)).
+
+xi: intervals.xi(k) for k = 1..kmax at the default tolerance, each repeat
+starting from an empty cache; seconds (minimum over the repeats) and the
+number of _phi_cmp_one sign tests, counted in one more untimed pass.
+The certified B' limit density must first exceed 3 at k = 48, the witness
+of theorem1, whenever kmax >= 48.
+"""
+
+import argparse
+import time
+
+from fdensity import census, group, intervals
+
+THEOREM1_WITNESS = 48
+
+
+def _print_row(cells) -> None:
+    print("  ".join(f"{c:>12}" for c in cells))
+
+
+def bench_multiply(n: int, k: int, repeats: int) -> None:
+    steps = [group.normalize(w) for _, w in group.GenSetSpec.extended().signed()]
+    pairs = [(y, s) for y in census.embed(n, k).image() for s in steps]
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        products = [group.multiply(y, s) for y, s in pairs]
+        best = min(best, time.perf_counter() - t0)
+    for (y, s), h in zip(pairs, products):
+        assert h == group._fold(list(y.pos), list(y.neg), group.letters(s)), (
+            "multiply != fold of letters"
+        )
+    _print_row(["n", "k", "products", "us/call"])
+    _print_row([n, k, len(pairs), f"{best / len(pairs) * 1e6:.3f}"])
+
+
+def bench_xi(kmax: int, repeats: int) -> None:
+    ks = range(1, kmax + 1)
+    best = float("inf")
+    for _ in range(repeats):
+        intervals.xi.cache_clear()
+        t0 = time.perf_counter()
+        for k in ks:
+            intervals.xi(k)
+        best = min(best, time.perf_counter() - t0)
+
+    calls = 0
+    real = intervals._phi_cmp_one
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    intervals.xi.cache_clear()
+    intervals._phi_cmp_one = counting
+    try:
+        for k in ks:
+            intervals.xi(k)
+    finally:
+        intervals._phi_cmp_one = real
+
+    witness = next(
+        (k for k in ks if intervals.limit_fractions(k).bprime_density.lo > 3), None
+    )
+    expected = THEOREM1_WITNESS if kmax >= THEOREM1_WITNESS else None
+    assert witness == expected, f"first k with B' density > 3 is {witness}"
+    _print_row(["kmax", "xi (s)", "sign tests", "witness k"])
+    _print_row([kmax, f"{best:.4f}", calls, witness])
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--n", type=int, default=10)
+    ap.add_argument("--k", type=int, default=3)
+    ap.add_argument("--kmax", type=int, default=512)
+    ap.add_argument("--repeats", type=int, default=3)
+    args = ap.parse_args()
+    bench_multiply(args.n, args.k, args.repeats)
+    print()
+    bench_xi(args.kmax, args.repeats)
+
+
+if __name__ == "__main__":
+    main()

@@ -455,9 +455,7 @@ def cmd_theorem2(args: argparse.Namespace) -> int:
 # embed-verify
 
 
-def _embed_row(job: tuple[int, int, int]) -> dict:
-    n, k, cap = job
-    emb = census.embed(n, k, cap=cap)
+def _embed_summary(n: int, k: int, emb: census.Embedding) -> dict:
     return {
         "n": n,
         "k": k,
@@ -466,6 +464,11 @@ def _embed_row(job: tuple[int, int, int]) -> dict:
         "status": "consistent+injective",
         "provenance": TAG_ENUM,
     }
+
+
+def _embed_row(job: tuple[int, int, int]) -> dict:
+    n, k, cap = job
+    return _embed_summary(n, k, census.embed(n, k, cap=cap))
 
 
 def cmd_embed_verify(args: argparse.Namespace) -> int:
@@ -502,21 +505,24 @@ def cmd_embed_verify(args: argparse.Namespace) -> int:
         if args.list:
             raise UsageError("--list requires explicit --n and --k")
         pairs = [(n, k) for n in range(1, args.nmax + 1) for k in range(0, args.kmax + 1)]
-    rows = _pmap(_embed_row, [(n, k, args.cap) for n, k in pairs], args.threads)
     columns = ["n", "k", "forests", "distinct_elements", "status", "provenance"]
     if args.list:
-        emb = census.embed(*pairs[0], cap=args.cap)
+        n, k = pairs[0]
+        emb = census.embed(n, k, cap=args.cap)
         columns += ["forest", "element"]
+        rows = [_embed_summary(n, k, emb)]
         rows += [
             {
-                "n": pairs[0][0],
-                "k": pairs[0][1],
+                "n": n,
+                "k": k,
                 "forest": forests.encode_forest(f),
                 "element": group.format_nf(e),
                 "provenance": TAG_ENUM,
             }
             for f, e in emb.assignment
         ]
+    else:
+        rows = _pmap(_embed_row, [(n, k, args.cap) for n, k in pairs], args.threads)
     _emit(rows, columns, _meta(args, "embed-verify"), args.format, args.out)
     return 0
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Iterator, Optional
 
 from .errors import CapExceeded
@@ -106,10 +107,13 @@ def enumerate_trees(n: int, kmax: int) -> tuple[Tree, ...]:
         return (LEAF,)
     if kmax < 1 or n > 2**kmax:
         return ()
+    # Subtrees by leaf count m, with the height bound clamped as inside the
+    # call so that the cache holds one key per value.
+    sub = [enumerate_trees(m, min(kmax - 1, m - 1)) for m in range(1, n)]
     out = []
     for ln in range(1, n):
-        for lt in enumerate_trees(ln, kmax - 1):
-            for rt in enumerate_trees(n - ln, kmax - 1):
+        for lt in sub[ln - 1]:
+            for rt in sub[n - ln - 1]:
                 out.append((lt, rt))
     return tuple(sorted(out, key=encode_tree))
 
@@ -125,10 +129,10 @@ def count_trees(n: int, kmax: int) -> int:
         return 1
     if kmax < 1 or (n - 1) >> kmax:
         return 0
-    return sum(
-        count_trees(ln, kmax - 1) * count_trees(n - ln, kmax - 1)
-        for ln in range(1, n)
-    )
+    # Subtree counts by leaf count m, with the height bound clamped as inside
+    # the call so that the cache holds one key per value.
+    sub = [count_trees(m, min(kmax - 1, m - 1)) for m in range(1, n)]
+    return sum(map(mul, sub, reversed(sub)))
 
 
 def count_trees_exact_height(n: int, h: int) -> int:
@@ -156,9 +160,6 @@ class MarkedForest:
     @property
     def n(self) -> int:
         return sum(leaves(t) for t in self.trees)
-
-    def max_height(self) -> int:
-        return max(height(t) for t in self.trees)
 
     def __str__(self) -> str:
         return encode_forest(self)
@@ -268,7 +269,9 @@ def _seq_counts(n: int, k: int) -> tuple[int, int]:
     """(number of tree sequences with n total leaves, total tree count over
     them), all heights <= k.  Built bottom-up over m = 0..n, so no
     recursion depth grows with n."""
-    trees = [(ln, t) for ln in range(1, n + 1) if (t := count_trees(ln, k))]
+    trees = [
+        (ln, t) for ln in range(1, n + 1) if (t := count_trees(ln, min(k, ln - 1)))
+    ]
     seqs = [1]
     marks = [0]
     for m in range(1, n + 1):

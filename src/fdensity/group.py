@@ -201,7 +201,10 @@ def _reduce(p: list[int], q: list[int]) -> None:
     # cancel equal innermost letters at the junction, and whenever x_i,
     # x_i^-1 both occur with no x_{i+1}^{+-1} present, cancel the pair.
     # The latter uses x_i x_m x_i^-1 = x_{m-1} (m >= i + 2): every index
-    # above i shifts down by one.
+    # above i shifts down by one.  Without a junction match or a shared
+    # index neither rule applies.
+    if not (p and q and p[-1] == q[-1]) and set(p).isdisjoint(q):
+        return
     changed = True
     while changed:
         changed = False
@@ -244,7 +247,15 @@ def normalize(word: Iterable[Letter]) -> NormalForm:
 
 
 def multiply(a: NormalForm, b: NormalForm) -> NormalForm:
-    return _fold(list(a.pos), list(a.neg), letters(b))
+    # b's letters are valid by construction, so fold its two parts directly:
+    # the positive part in order, then the inverse part written left to right.
+    p, q = list(a.pos), list(a.neg)
+    for c in b.pos:
+        _append_pos(p, q, c)
+    for c in reversed(b.neg):
+        _append_neg(q, c)
+    _reduce(p, q)
+    return NormalForm(tuple(p), tuple(q))
 
 
 def invert(a: NormalForm) -> NormalForm:

@@ -7,7 +7,8 @@ square at every level), so enclosures are computed with fixed-precision
 dyadic endpoints and outward rounding; certificates are exact integer sign
 tests.  Bisection escalates the working precision when a comparison is
 undecided; escalation failure raises PrecisionExhausted naming the width
-that was achieved.
+that was achieved.  A float estimate of xi_k only picks which bisection
+midpoints need a certificate; no endpoint depends on it.
 
 The derived limit quantities are assembled from xi_k enclosures with exact
 Fraction interval arithmetic:
@@ -27,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isfinite, ldexp, pi
 
 from .errors import PrecisionExhausted
 
@@ -194,6 +196,49 @@ def phi_at(
 # the singularity xi_k
 
 
+# Half-width of the certified window around the float estimate, in units of
+# 2^-64.  Float Newton lands within 2^-53 of xi_k for k <= 512; the window
+# is 2^-48 wide on each side.
+_CUT_MARGIN = 1 << 16
+
+
+def _xi_estimate(k: int) -> float:
+    """Float Newton estimate of xi_k (k >= 1), approached from the right.
+
+    Starts at 1/4 + (pi/(k+4))^2, right of the root: pi/sqrt(xi_k - 1/4) - k
+    rises from 4.18 at k = 1 towards 5.65.  Phi_k is increasing and convex,
+    so the iterates decrease until float noise stops them.
+    """
+    z = 0.25 + (pi / (k + 4)) ** 2
+    for _ in range(100):
+        v = d = 0.0
+        for _ in range(k + 1):
+            v, d = z + v * v, 1 + 2 * v * d
+        step = (v - 1) / d
+        if not step > z * 2.0**-52:
+            break
+        z -= step
+    return z
+
+
+def _certified_cuts(k: int, a: int, b: int, p: int) -> tuple[int, int]:
+    """Grid points a < lo < hi < b with Phi_k(lo) < 1 < Phi_k(hi) certified
+    by _phi_cmp_one at precision p, placed around the float estimate of xi_k;
+    (a, b) when the estimate is not finite or a certificate fails."""
+    g = _xi_estimate(k)
+    if isfinite(g):
+        c = int(ldexp(g, p))
+        lo, hi = c - _CUT_MARGIN, c + _CUT_MARGIN
+        if (
+            a < lo
+            and hi < b
+            and _phi_cmp_one(k, lo, lo, p) == -1
+            and _phi_cmp_one(k, hi, hi, p) == 1
+        ):
+            return lo, hi
+    return a, b
+
+
 @lru_cache(maxsize=None)
 def xi(
     k: int,
@@ -205,6 +250,17 @@ def xi(
     Bisection on [1/4, 1] with exact endpoint certificates
     Phi_k(lo) < 1 < Phi_k(hi); an undecided midpoint comparison doubles the
     working precision.  xi_0 = 1 exactly.
+
+    Midpoints whose side is already known are not evaluated.  At a fixed
+    precision p, _phi_cmp_one(k, m, m, p) is nondecreasing in m: both
+    dyadic tracks are monotone in z, the saturation at cap is a min, and
+    the early +1 exit fires no later for a larger m.  So once lo and hi
+    are certified with signs -1 and +1 (see _certified_cuts), every
+    midpoint m <= lo has side -1 and every m >= hi has side +1, exactly
+    what evaluating it would return: the bisection path, and hence the
+    interval, is the one plain bisection gives.  A failed certificate
+    leaves plain bisection; so does an escalation of p, since the cuts
+    were certified at the old precision.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -217,10 +273,18 @@ def xi(
     a, b = (1 << p) // 4, 1 << p
     if _phi_cmp_one(k, a, a, p) != -1 or _phi_cmp_one(k, b, b, p) != 1:
         raise AssertionError("bracket endpoints failed to certify")
+    lo, hi = _certified_cuts(k, a, b, p)
     while Fraction(b - a, 1 << p) > tol:
         m = (a + b) // 2
         # A one-ulp bracket cannot shrink further at this precision.
-        side = 0 if m in (a, b) else _phi_cmp_one(k, m, m, p)
+        if m in (a, b):
+            side = 0
+        elif m <= lo:
+            side = -1
+        elif m >= hi:
+            side = 1
+        else:
+            side = _phi_cmp_one(k, m, m, p)
         if side < 0:
             a = m
         elif side > 0:
@@ -232,6 +296,8 @@ def xi(
                     f"width {Fraction(b - a, 1 << p)}"
                 )
             a, b, p = a << p, b << p, 2 * p
+            # No later midpoint lies outside (a, b): skipping ends.
+            lo, hi = a, b
     return CertifiedInterval(Fraction(a, 1 << p), Fraction(b, 1 << p))
 
 

@@ -274,6 +274,22 @@ def test_embed_verify_list_requires_single_case(tmp_path):
     assert "*(..)" in text and "X1" in text
 
 
+def test_embed_verify_list_embeds_once(monkeypatch, tmp_path):
+    rc, before = run(["embed-verify", "--n", "3", "--k", "1", "--list"], tmp_path, "a")
+    real_embed = census.embed
+    calls = []
+
+    def counting_embed(*args, **kwargs):
+        calls.append(args[:2])
+        return real_embed(*args, **kwargs)
+
+    monkeypatch.setattr(census, "embed", counting_embed)
+    rc2, after = run(["embed-verify", "--n", "3", "--k", "1", "--list"], tmp_path, "b")
+    assert rc == rc2 == 0
+    assert calls == [(3, 1)]
+    assert after == before
+
+
 def test_exit_codes():
     assert cli.main(["density", "--k", "1"]) == 3  # missing --n/--nmax
     assert cli.main(["density", "--n", "2", "--nmax", "3", "--k", "1"]) == 3

@@ -61,6 +61,20 @@ def test_count_bb_large_n_no_recursion_limit():
     assert forests.count_bb(1200, 3) == census.census_counts(1200, 3, "dp").total
 
 
+def test_tree_caches_hold_clamped_keys():
+    # Heights are clamped to n - 1 before each recursive call, so a bound
+    # k >= n adds O(n) cache entries, not O(n k).  Unbounded, B(n, k) is
+    # counted by [z^n] C/(1 - C)^2 = [z^(n+2)] C^3 with C = z + C^2.
+    n = 200
+    forests.count_trees.cache_clear()
+    forests._seq_counts.cache_clear()
+    assert forests.count_bb(n, n) == 3 * math.comb(2 * n, n + 1) // (n + 2)
+    assert forests.count_trees.cache_info().currsize <= n
+    forests.enumerate_trees.cache_clear()
+    assert len(forests.enumerate_trees(8, 50)) == math.comb(14, 7) // 8
+    assert forests.enumerate_trees.cache_info().currsize <= 8
+
+
 def test_enumerate_matches_count_on_grid():
     for n in range(1, 9):
         for k in range(0, 4):

@@ -205,3 +205,32 @@ def test_commutes_helper():
     assert not group.commutes(
         group.normalize(group.W_X0), group.normalize(group.W_X1)
     )
+
+
+def _fold_letters(a, b):
+    # The word route multiply took before it folded b's parts directly.
+    return group._fold(list(a.pos), list(a.neg), group.letters(b))
+
+
+_words_0_4 = st.lists(st.tuples(st.integers(0, 4), st.sampled_from((1, -1))), max_size=8)
+
+
+@given(_words_0_4, _words_0_4)
+@settings(max_examples=300, deadline=None)
+def test_multiply_matches_letter_fold(u, v):
+    a, b = group.normalize(tuple(u)), group.normalize(tuple(v))
+    h = group.multiply(a, b)
+    assert h == _fold_letters(a, b)
+    assert group.is_normal(h)
+
+
+def test_multiply_cases_that_need_reduction():
+    # Junction cancellations (once in x1 . X1, twice in x0 x2 . X2 X0), and
+    # a pair cancelled away from the junction, which shifts the higher
+    # index down (x0 x3 . X0 = x2).
+    cases = [("x1", "X1", "e"), ("x0 x2", "X2 X0", "e"), ("x0 x3", "X0", "x2")]
+    for left, right, want in cases:
+        a, b = group.parse_nf(left), group.parse_nf(right)
+        h = group.multiply(a, b)
+        assert h == _fold_letters(a, b) == group.parse_nf(want)
+        assert group.is_normal(h)

@@ -1,7 +1,7 @@
 """Certified interval arithmetic and the singularity enclosures xi_k."""
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, nan
 
 import pytest
 
@@ -127,3 +127,64 @@ def test_limit_fractions_against_float_recurrence():
 def test_limit_fractions_requires_positive_k():
     with pytest.raises(ValueError):
         intervals.limit_fractions(0)
+
+
+def _plain_xi(k, tol):
+    # Bisection that evaluates every midpoint: the oracle for xi's skipping.
+    p = 64
+    a, b = (1 << p) // 4, 1 << p
+    while Fraction(b - a, 1 << p) > tol:
+        m = (a + b) // 2
+        side = 0 if m in (a, b) else intervals._phi_cmp_one(k, m, m, p)
+        if side < 0:
+            a = m
+        elif side > 0:
+            b = m
+        else:
+            a, b, p = a << p, b << p, 2 * p
+    return Fraction(a, 1 << p), Fraction(b, 1 << p)
+
+
+_ORACLE_TOLS = (F(1, 10**6), F(1, 10**12), F(1, 10**18), F(1, 2**100))
+
+
+def _assert_xi_matches_oracle(ks):
+    for tol in _ORACLE_TOLS:
+        for k in ks:
+            intervals.xi.cache_clear()
+            x = intervals.xi(k, tol)
+            assert (x.lo, x.hi) == _plain_xi(k, tol), (k, tol)
+    intervals.xi.cache_clear()
+
+
+def test_xi_matches_plain_bisection():
+    _assert_xi_matches_oracle([*range(1, 41), 64, 128, 300, 512])
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [lambda g: g + 1e-6, lambda g: g - 1e-6, lambda g: nan, lambda g: 0.0,
+     lambda g: 2.0],
+    ids=["plus-1e-6", "minus-1e-6", "nan", "zero", "two"],
+)
+def test_xi_ignores_a_wrong_estimate(monkeypatch, wrong):
+    real = intervals._xi_estimate
+    monkeypatch.setattr(intervals, "_xi_estimate", lambda k: wrong(real(k)))
+    _assert_xi_matches_oracle([1, 2, 5, 17, 48, 300])
+
+
+def test_xi_skips_certified_midpoints(monkeypatch):
+    # Two bracket certificates, two cut certificates, and at most a few
+    # midpoints inside the cuts; plain bisection makes 42 sign tests.
+    calls = []
+    real = intervals._phi_cmp_one
+
+    def counting(*args):
+        calls.append(args[:2])
+        return real(*args)
+
+    monkeypatch.setattr(intervals, "_phi_cmp_one", counting)
+    intervals.xi.cache_clear()
+    intervals.xi(512)
+    intervals.xi.cache_clear()
+    assert len(calls) <= 8
