@@ -1,4 +1,5 @@
-"""Time two layers: normal-form multiplication and the xi_k bisection.
+"""Time three layers: normal-form multiplication, the embedding/boundary
+BFS, and the xi_k bisection.
 
 Usage: python benchmarks/bench_layers.py [--n 10] [--k 3] [--kmax 512] [--repeats 3]
 
@@ -6,6 +7,13 @@ multiply: group.multiply over embed(n, k).image() x the six signed steps
 of the extended set {x0, x1, x1bar}, in microseconds per call (minimum
 over the repeats).  Every product must equal the word fold of the
 normal-form letters, _fold(a.pos, a.neg, letters(b)).
+
+embedding: census.outer_boundary_exact(n', k', extended) for every
+n' <= n and k' <= k, in seconds (minimum over the repeats), and the
+group.multiply calls it makes, counted in one more untimed pass.  The BFS
+multiplies each unblocked (forest, label) pair and the statistics pass
+each blocked one, so the count must be 6 |B(n', k')| summed over the grid;
+every boundary must stay within the doubling bound of theorem2.
 
 xi: intervals.xi(k) for k = 1..kmax at the default tolerance, each repeat
 starting from an empty cache; seconds (minimum over the repeats) and the
@@ -23,7 +31,7 @@ THEOREM1_WITNESS = 48
 
 
 def _print_row(cells) -> None:
-    print("  ".join(f"{c:>12}" for c in cells))
+    print("  ".join(f"{c!s:>12}" for c in cells))
 
 
 def bench_multiply(n: int, k: int, repeats: int) -> None:
@@ -40,6 +48,38 @@ def bench_multiply(n: int, k: int, repeats: int) -> None:
         )
     _print_row(["n", "k", "products", "us/call"])
     _print_row([n, k, len(pairs), f"{best / len(pairs) * 1e6:.3f}"])
+
+
+def bench_embedding(n: int, k: int, repeats: int) -> None:
+    ext = group.GenSetSpec.extended()
+    grid = [(nn, kk) for nn in range(1, n + 1) for kk in range(0, k + 1)]
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for nn, kk in grid:
+            census.outer_boundary_exact(nn, kk, ext)
+        best = min(best, time.perf_counter() - t0)
+
+    calls = 0
+    real = census.multiply
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return real(a, b)
+
+    census.multiply = counting
+    try:
+        outer = [census.outer_boundary_exact(nn, kk, ext) for nn, kk in grid]
+    finally:
+        census.multiply = real
+    counts = [census.census_counts(nn, kk) for nn, kk in grid]
+    assert calls == 6 * sum(c.total for c in counts), "multiply calls != 6 |B|"
+    assert all(o <= c.doubling_bound() for o, c in zip(outer, counts)), (
+        "outer boundary above the doubling bound"
+    )
+    _print_row(["n <=", "k <=", "embed (s)", "multiplies"])
+    _print_row([n, k, f"{best:.4f}", calls])
 
 
 def bench_xi(kmax: int, repeats: int) -> None:
@@ -85,6 +125,8 @@ def main() -> None:
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
     bench_multiply(args.n, args.k, args.repeats)
+    print()
+    bench_embedding(args.n, args.k, args.repeats)
     print()
     bench_xi(args.kmax, args.repeats)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Collection, Iterable, Mapping, Optional
 
 from .errors import CapExceeded
 from .forests import (
@@ -29,7 +29,7 @@ from .forests import (
     base_forest,
     count_trees_exact_height,
     encode_forest,
-    enumerate_bb,
+    enumerate_bb,  # unused here; perfbench traces it as census.enumerate_bb
     _count_bb_within_cap,
     _seq_counts,
 )
@@ -44,6 +44,10 @@ from .series import count_series
 
 DEFAULT_CAP = 10**8
 EMBED_N_CAP = 12
+
+# The normal form of each action label's word, and the label of each.
+_ACTION_STEPS = {label: normalize(LABEL_WORDS[label]) for label in ACTION_LABELS}
+_STEP_LABELS = {step: label for label, step in _ACTION_STEPS.items()}
 
 
 class EmbeddingError(RuntimeError):
@@ -291,7 +295,9 @@ class SubgraphStats:
 
 
 def stats_elements(
-    elements: Iterable[NormalForm], genset: GenSetSpec
+    elements: Iterable[NormalForm],
+    genset: GenSetSpec,
+    blocked: Optional[Mapping[str, Collection[NormalForm]]] = None,
 ) -> SubgraphStats:
     """Exact induced-subgraph statistics over a finite set Y of elements.
 
@@ -299,27 +305,36 @@ def stats_elements(
     the edges leaving Y per label and collects their endpoints, whose
     number is the outer boundary #dY (a vertex set, so deduplicated by
     normal form).
+
+    `blocked` is an embedding's record (`Embedding.blocked`) for Y its
+    image.  A generator whose normal form is an action step then
+    multiplies only the elements whose forest has that action blocked:
+    the embedding has checked every other product to land in Y.  Other
+    generators multiply all of Y.
     """
     Y = set(elements)
     if not Y:
         raise ValueError("statistics need a nonempty vertex set")
     internal = []
-    blocked = []
+    blocked_counts = []
     outside: set[NormalForm] = set()
     for label, word in genset.signed():
         step = normalize(word)
+        candidates = Y
+        if blocked is not None and step in _STEP_LABELS:
+            candidates = blocked[_STEP_LABELS[step]]
         leaving = 0
-        for y in Y:
+        for y in candidates:
             t = multiply(y, step)
             if t not in Y:
                 outside.add(t)
                 leaving += 1
         internal.append((label, len(Y) - leaving))
-        blocked.append((label, leaving))
+        blocked_counts.append((label, leaving))
     return SubgraphStats(
         vertices=len(Y),
         internal=tuple(internal),
-        blocked=tuple(blocked),
+        blocked=tuple(blocked_counts),
         outer_boundary=len(outside),
     )
 
@@ -330,14 +345,17 @@ def stats_elements(
 
 @dataclass(frozen=True)
 class Embedding:
-    """Injective assignment of normal forms to B(n, k), BFS from the base."""
+    """Injective assignment of normal forms to B(n, k), BFS from the base.
+
+    `assignment` lists (forest, element) pairs in BFS order.  `blocked`
+    maps each action label to the elements whose forest has that action
+    blocked within B(n, k), also in BFS order.
+    """
 
     n: int
     k: int
     assignment: tuple[tuple[MarkedForest, NormalForm], ...]
-
-    def mapping(self) -> dict[MarkedForest, NormalForm]:
-        return dict(self.assignment)
+    blocked: dict[str, list[NormalForm]]
 
     def image(self) -> set[NormalForm]:
         return {nf for _, nf in self.assignment}
@@ -359,10 +377,10 @@ def embed(
     """
     if n > n_cap:
         raise CapExceeded(f"embed supports n <= {n_cap} (got n = {n})")
-    all_forests = enumerate_bb(n, k, cap)
-    steps = {label: normalize(LABEL_WORDS[label]) for label in ACTION_LABELS}
+    size = _count_bb_within_cap(n, k, cap)
     base = base_forest(n)
     assigned: dict[MarkedForest, NormalForm] = {base: IDENTITY}
+    blocked: dict[str, list[NormalForm]] = {label: [] for label in ACTION_LABELS}
     frontier = [base]
     while frontier:
         nxt = []
@@ -371,8 +389,9 @@ def embed(
             for label in ACTION_LABELS:
                 g = _action(label, f, k)
                 if g is None:
+                    blocked[label].append(e)
                     continue
-                ge = multiply(e, steps[label])
+                ge = multiply(e, _ACTION_STEPS[label])
                 seen = assigned.get(g)
                 if seen is None:
                     assigned[g] = ge
@@ -383,17 +402,19 @@ def embed(
                         f"but {encode_forest(g)} already carries {seen}"
                     )
         frontier = nxt
-    if len(assigned) != len(all_forests):
+    if len(assigned) != size:
         raise EmbeddingError(
-            f"B({n},{k}) not reached fully: {len(assigned)} of {len(all_forests)}"
+            f"B({n},{k}) not reached fully: {len(assigned)} of {size}"
         )
     values = {nf for nf in assigned.values()}
     if len(values) != len(assigned):
         raise EmbeddingError(f"assignment over B({n},{k}) is not injective")
-    assignment = tuple(
-        sorted(assigned.items(), key=lambda fv: encode_forest(fv[0]))
+    return Embedding(
+        n=n,
+        k=k,
+        assignment=tuple(assigned.items()),
+        blocked=blocked,
     )
-    return Embedding(n=n, k=k, assignment=assignment)
 
 
 def outer_boundary_exact(
@@ -404,4 +425,5 @@ def outer_boundary_exact(
     cap: int = DEFAULT_CAP,
 ) -> int:
     """#dY for Y = B(n, k) embedded in the Cayley graph."""
-    return stats_elements(embed(n, k, n_cap, cap).image(), genset).outer_boundary
+    emb = embed(n, k, n_cap, cap)
+    return stats_elements(emb.image(), genset, emb.blocked).outer_boundary

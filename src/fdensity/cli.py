@@ -19,7 +19,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -68,6 +67,8 @@ def _pmap(fn: Callable, items: Sequence, threads: int) -> list:
     """Map preserving order; distributes over a process pool if threads > 1."""
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 
@@ -234,7 +235,8 @@ def _density_row(job: tuple) -> dict:
     genset = group.by_name(genset_name)
     prov = _PROVENANCE[mode]
     if genset.name == "custom":
-        st = census.stats_elements(census.embed(n, k, cap=cap).image(), genset)
+        emb = census.embed(n, k, cap=cap)
+        st = census.stats_elements(emb.image(), genset, emb.blocked)
         prov = TAG_ENUM
         counts = census.census_counts(
             n, k, "dp" if mode == "dp" else "enumerate", cap, trunc
@@ -519,7 +521,9 @@ def cmd_embed_verify(args: argparse.Namespace) -> int:
                 "element": group.format_nf(e),
                 "provenance": TAG_ENUM,
             }
-            for f, e in emb.assignment
+            for f, e in sorted(
+                emb.assignment, key=lambda fe: forests.encode_forest(fe[0])
+            )
         ]
     else:
         rows = _pmap(_embed_row, [(n, k, args.cap) for n, k in pairs], args.threads)

@@ -12,7 +12,8 @@ Every element has a unique reduced normal form
 with i_1 <= ... <= i_s and j_1 <= ... <= j_t, subject to: whenever x_i and
 x_i^-1 both occur, x_{i+1} or x_{i+1}^-1 also occurs (in particular
 i_s != j_t).  We store the two index lists; `neg` is kept in increasing
-order, so the written inverse part is `neg` reversed.
+order, so the written inverse part is `neg` reversed.  A `NormalForm` is
+the tuple (pos, neg): it compares, orders and hashes as that tuple.
 
 Words are tuples of letters (index, sign).  Textual format: tokens "x<i>"
 for x_i, "X<i>" for x_i^-1, and "e" for the empty word.
@@ -23,7 +24,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, NamedTuple
 
 from .errors import CapExceeded
 
@@ -105,8 +106,7 @@ W_BETA: Word = ((0, 1), (1, -1))           # x0 x1^-1
 # normal forms
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(NamedTuple):
     """Reduced normal form; ``pos`` and ``neg`` are weakly increasing."""
 
     pos: tuple[int, ...]
@@ -255,7 +255,8 @@ def multiply(a: NormalForm, b: NormalForm) -> NormalForm:
     for c in reversed(b.neg):
         _append_neg(q, c)
     _reduce(p, q)
-    return NormalForm(tuple(p), tuple(q))
+    # tuple.__new__ skips the Python-level NamedTuple constructor.
+    return tuple.__new__(NormalForm, (tuple(p), tuple(q)))
 
 
 def invert(a: NormalForm) -> NormalForm:
@@ -379,10 +380,6 @@ def by_name(name: str) -> GenSetSpec:
 # balls and boundaries in the element model
 
 
-def _nf_key(nf: NormalForm) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return (nf.pos, nf.neg)
-
-
 def ball(genset: GenSetSpec, radius: int, cap: int = 10**7) -> dict[NormalForm, int]:
     """All elements within word-length `radius`, mapped to their distance."""
     steps = [normalize(w) for _, w in genset.signed()]
@@ -400,7 +397,7 @@ def ball(genset: GenSetSpec, radius: int, cap: int = 10**7) -> dict[NormalForm, 
                         )
                     dist[h] = r
                     layer.append(h)
-        frontier = sorted(layer, key=_nf_key)
+        frontier = sorted(layer)
     return dist
 
 

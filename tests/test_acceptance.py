@@ -247,14 +247,16 @@ def test_c09_embedding_oracle():
     t0 = time.monotonic()
     ok = True
     cases = 0
+    images = {}
     for n in range(1, 11):
         for k in range(0, 4):
             emb = census.embed(n, k)  # raises on any inconsistency
-            ok = ok and len(emb.image()) == len(emb.assignment)
+            images[n, k] = emb.image()
+            ok = ok and len(images[n, k]) == len(emb.assignment)
             cases += 1
     for n in range(1, 8):
         for k in range(0, 4):
-            elements = census.embed(n, k).image()
+            elements = images[n, k]
             for gs in GENSETS.values():
                 fs = census.census_counts(n, k).stats(gs)
                 es = census.stats_elements(elements, gs)

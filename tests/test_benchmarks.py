@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from fdensity.forests import count_bb
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -32,3 +34,11 @@ def test_bench_layers_runs():
         "bench_layers.py", ["--n", "6", "--k", "2", "--kmax", "50", "--repeats", "1"]
     )
     assert out.split()[-1] == "48"
+    # The embedding layer multiplies 6 |B(n, k)| times over n <= 6, k <= 2.
+    lines = out.splitlines()
+    header = next(i for i, line in enumerate(lines) if "embed (s)" in line)
+    row = lines[header + 1].split()
+    assert row[:2] == ["6", "2"]
+    assert int(row[3]) == 6 * sum(
+        count_bb(n, k) for n in range(1, 7) for k in range(0, 3)
+    )

@@ -135,7 +135,7 @@ def test_embed_b31_distinct_elements():
 def test_embed_edge_consistency_spot():
     # Walking an edge in the forest model right-multiplies the element.
     emb = census.embed(4, 2)
-    mapping = emb.mapping()
+    mapping = dict(emb.assignment)
     words = {lbl: group.normalize(w) for lbl, w in forests.LABEL_WORDS.items()}
     for f, g in mapping.items():
         for lbl in forests.ACTION_LABELS:
@@ -179,6 +179,88 @@ def test_transport_equality_forest_vs_element_model():
         assert forest_side.degree_sum == element_side.degree_sum
         assert forest_side.cheeger_total == element_side.cheeger_total
         assert forest_side.per_label_blocked() == element_side.per_label_blocked()
+
+
+# A custom set holding the action step x1bar under another spelling, and
+# one holding no action step at all.
+CUSTOM_WITH_STEP = group.GenSetSpec.custom(["x1 X0", "x0 x0", "x2"])
+CUSTOM_WITHOUT_STEP = group.GenSetSpec.custom(["x0 x1", "X2", "x1 x1"])
+
+
+def _counting_multiply(monkeypatch):
+    """Patch census.multiply and census.embed; count products made outside
+    and inside the embedding's BFS."""
+    real_embed, real_multiply = census.embed, census.multiply
+    seen = {"bfs": 0, "stats": 0, "embedding": False}
+
+    def counting_embed(*args, **kwargs):
+        seen["embedding"] = True
+        try:
+            return real_embed(*args, **kwargs)
+        finally:
+            seen["embedding"] = False
+
+    def counting_multiply(a, b):
+        seen["bfs" if seen["embedding"] else "stats"] += 1
+        return real_multiply(a, b)
+
+    monkeypatch.setattr(census, "embed", counting_embed)
+    monkeypatch.setattr(census, "multiply", counting_multiply)
+    return seen
+
+
+def test_stats_elements_blocked_record_matches_full_pass(monkeypatch):
+    # With the embedding's blocked record, every per-label count and the
+    # outer boundary equal those of the pass over all of Y.  A signed
+    # generator equal to an action step multiplies only its blocked
+    # elements, any other generator all of Y.
+    seen = _counting_multiply(monkeypatch)
+    action_steps = {
+        group.normalize(forests.LABEL_WORDS[label]): label
+        for label in forests.ACTION_LABELS
+    }
+    gensets = (
+        group.GenSetSpec.standard(),
+        group.GenSetSpec.symmetric(),
+        group.GenSetSpec.extended(),
+        CUSTOM_WITH_STEP,
+        CUSTOM_WITHOUT_STEP,
+    )
+    saved = dict.fromkeys(gensets, 0)
+    for n in range(1, 9):
+        for k in range(0, 4):
+            emb = census.embed(n, k)
+            Y = emb.image()
+            for gs in gensets:
+                seen["stats"] = 0
+                full = census.stats_elements(Y, gs)
+                assert seen["stats"] == 2 * gs.m * len(Y)
+                seen["stats"] = 0
+                recorded = census.stats_elements(Y, gs, emb.blocked)
+                assert recorded == full, (n, k, gs.gens)
+                steps = [group.normalize(w) for _, w in gs.signed()]
+                assert seen["stats"] == sum(
+                    len(emb.blocked[action_steps[s]]) if s in action_steps
+                    else len(Y)
+                    for s in steps
+                )
+                saved[gs] += 2 * gs.m * len(Y) - seen["stats"]
+    assert saved.pop(CUSTOM_WITHOUT_STEP) == 0
+    assert all(saved.values())
+
+
+def test_outer_boundary_exact_multiplies_only_blocked(monkeypatch):
+    # The statistics pass makes one product per blocked (forest, label)
+    # pair, i.e. the Cheeger count; the BFS one per unblocked pair.
+    seen = _counting_multiply(monkeypatch)
+    ext = group.GenSetSpec.extended()
+    for n, k in ((1, 0), (4, 1), (6, 2), (8, 3)):
+        seen["bfs"] = seen["stats"] = 0
+        census.outer_boundary_exact(n, k, ext)
+        counts = census.census_counts(n, k)
+        cheeger = counts.stats(ext).cheeger_total
+        assert seen["stats"] == cheeger, (n, k)
+        assert seen["bfs"] == 6 * counts.total - cheeger, (n, k)
 
 
 def test_doubling_bound_holds_small_grid():

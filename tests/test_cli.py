@@ -1,6 +1,7 @@
 """The command-line interface: exit codes, schemas, determinism."""
 
 import csv
+import hashlib
 import json
 import time
 
@@ -133,8 +134,10 @@ def test_isolated_table_builds_one_series(monkeypatch, tmp_path):
 
 
 def test_density_custom_row_embeds_once(monkeypatch, tmp_path):
-    # One embedding, and one product y*s per element and signed generator
-    # for the statistics and the boundary together.
+    # One embedding, and one statistics pass for the statistics and the
+    # boundary together.  x0 and x1 are action steps, so their four signed
+    # generators multiply only the blocked elements (the standard set's
+    # Cheeger count); x2 and x2^-1 multiply every element.
     real_embed, real_stats, real_multiply = (
         census.embed, census.stats_elements, census.multiply)
     calls = []
@@ -165,7 +168,9 @@ def test_density_custom_row_embeds_once(monkeypatch, tmp_path):
     assert rc == 0
     assert calls == [(4, 1)]
     assert seen["stats"] == 1
-    assert seen["multiply"] == 2 * 3 * forests.count_bb(4, 1)
+    standard_blocked = census.census_counts(4, 1).stats(
+        group.GenSetSpec.standard()).cheeger_total
+    assert seen["multiply"] == standard_blocked + 2 * forests.count_bb(4, 1)
     (row,) = list(csv.DictReader(text.splitlines()))
     gs = group.by_name("custom:x0,x1,x2")
     assert row["outer_boundary"] == str(census.outer_boundary_exact(4, 1, gs))
@@ -288,6 +293,28 @@ def test_embed_verify_list_embeds_once(monkeypatch, tmp_path):
     assert rc == rc2 == 0
     assert calls == [(3, 1)]
     assert after == before
+
+
+# sha256 of the stdout of `embed-verify --n 4 --k 2 --list`, per format.
+LIST_SHA256 = {
+    "csv": "f04925afaf076886115e68bbe1f3a632653868ece4fd30a7ca90ae11e7e577ea",
+    "json": "0ae01ae7b67bde8c5cc74a3a20dc448b68baf69935f172a3efb87103355400d2",
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_embed_verify_list_bytes_pinned(capsys, fmt):
+    argv = ["embed-verify", "--n", "4", "--k", "2", "--list", "--format", fmt]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == LIST_SHA256[fmt]
+    if fmt == "csv":
+        rows = list(csv.DictReader(out.splitlines()))
+    else:
+        rows = json.loads(out)["rows"]
+    listed = [r["forest"] for r in rows[1:]]
+    assert len(listed) == forests.count_bb(4, 2)
+    assert listed == sorted(listed)
 
 
 def test_exit_codes():
