@@ -1,7 +1,8 @@
-"""Time three layers: normal-form multiplication, the embedding/boundary
-BFS, and the xi_k bisection.
+"""Time four layers: normal-form multiplication, the embedding/boundary
+BFS, series construction, and the xi_k bisection.
 
-Usage: python benchmarks/bench_layers.py [--n 10] [--k 3] [--kmax 512] [--repeats 3]
+Usage: python benchmarks/bench_layers.py [--n 10] [--k 3] [--kmax 512]
+       [--series 512:12 1024:24] [--repeats 3]
 
 multiply: group.multiply over embed(n, k).image() x the six signed steps
 of the extended set {x0, x1, x1bar}, in microseconds per call (minimum
@@ -15,6 +16,13 @@ multiplies each unblocked (forest, label) pair and the statistics pass
 each blocked one, so the count must be 6 |B(n', k')| summed over the grid;
 every boundary must stay within the doubling bound of theorem2.
 
+series: for each N:K in --series, the three steps of count_series(K, N),
+each repeat starting from empty _phi_chain and count_series caches:
+the Phi chain phi(K, N), G = geometric(), and the S product
+(1 - Phi_(K-1)) G, in seconds (minimum over the repeats).  G and S must
+equal count_series(K, N), and every chain level must equal z plus the
+__mul__ square of the level before.
+
 xi: intervals.xi(k) for k = 1..kmax at the default tolerance, each repeat
 starting from an empty cache; seconds (minimum over the repeats) and the
 number of _phi_cmp_one sign tests, counted in one more untimed pass.
@@ -25,7 +33,7 @@ of theorem1, whenever kmax >= 48.
 import argparse
 import time
 
-from fdensity import census, group, intervals
+from fdensity import census, group, intervals, series
 
 THEOREM1_WITNESS = 48
 
@@ -82,6 +90,36 @@ def bench_embedding(n: int, k: int, repeats: int) -> None:
     _print_row([n, k, f"{best:.4f}", calls])
 
 
+def bench_series(cases: list[tuple[int, int]], repeats: int) -> None:
+    _print_row(["n", "k", "chain (s)", "geometric (s)", "S (s)"])
+    for n, k in cases:
+        best = [float("inf")] * 3
+        for _ in range(repeats):
+            series._phi_chain.cache_clear()
+            series.count_series.cache_clear()
+            t0 = time.perf_counter()
+            p = series.phi(k, n)
+            t1 = time.perf_counter()
+            g = p.geometric()
+            t2 = time.perf_counter()
+            side = g - series.phi(k - 1, n) * g
+            t3 = time.perf_counter()
+            best = [min(b, t) for b, t in zip(best, (t1 - t0, t2 - t1, t3 - t2))]
+        fam = series.count_series(k, n)
+        assert (fam.g, fam.side) == (g, side), "count_series != timed steps"
+        chain = series._phi_chain(n)
+        zs = series.z(n)
+        assert all(chain[j + 1] == zs + chain[j] * chain[j] for j in range(k)), (
+            "Phi chain level != z + __mul__ square of the level before"
+        )
+        _print_row([n, k, *(f"{b:.4f}" for b in best)])
+
+
+def _series_case(text: str) -> tuple[int, int]:
+    n, k = text.split(":")
+    return int(n), int(k)
+
+
 def bench_xi(kmax: int, repeats: int) -> None:
     ks = range(1, kmax + 1)
     best = float("inf")
@@ -122,11 +160,16 @@ def main() -> None:
     ap.add_argument("--n", type=int, default=10)
     ap.add_argument("--k", type=int, default=3)
     ap.add_argument("--kmax", type=int, default=512)
+    ap.add_argument(
+        "--series", type=_series_case, nargs="+", default=[(512, 12), (1024, 24)]
+    )
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
     bench_multiply(args.n, args.k, args.repeats)
     print()
     bench_embedding(args.n, args.k, args.repeats)
+    print()
+    bench_series(args.series, args.repeats)
     print()
     bench_xi(args.kmax, args.repeats)
 

@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
@@ -96,8 +97,16 @@ def _emit(
     else:
         raise UsageError(f"unknown format {fmt!r}")
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        # Write beside the target and rename over it, so the file at out is
+        # either the old one or the whole new one, never a partial write.
+        tmp = f"{out}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, out)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
     else:
         sys.stdout.write(text)
 

@@ -20,6 +20,11 @@ Phi_k - Phi_{k-1}^2 = z give (see count_series)
     isolated         = z S^2
 
 so one [z^n] read is a dot product of two prefixes, not a series product.
+
+Support bound: Phi_k has no term above z^(2^k) (a tree of height <= k has
+at most 2^k leaves).  square() and geometric() clip their dot products to
+the last nonzero coefficient, so for 2^k below the series order the chain
+and G cost less than a full-order schoolbook product.
 """
 
 from __future__ import annotations
@@ -79,15 +84,44 @@ class TruncatedSeries:
                     out[i + j] += a * b
         return TruncatedSeries(out)
 
+    def square(self) -> "TruncatedSeries":
+        """self * self by half dot products: each cross term a_i a_(m-i)
+        once, doubled, plus a_(m/2)^2 for even m; i runs over the support."""
+        a = self.coeffs
+        n = self.trunc
+        top = _top(a)
+        out = [0] * (n + 1)
+        for m in range(min(n, 2 * top) + 1):
+            lo = max(0, m - top)
+            half = (m + 1) // 2
+            c = 2 * sum(map(mul, a[lo:half], a[m - lo : m - half : -1]))
+            if m % 2 == 0:
+                c += a[m // 2] ** 2
+            out[m] = c
+        return TruncatedSeries(out)
+
     def geometric(self) -> "TruncatedSeries":
-        """1 / (1 - self); requires zero constant term."""
+        """1 / (1 - self); requires zero constant term.
+
+        out[m] = sum of c_i out[m-i] over 1 <= i <= min(m, top), where top
+        is the last nonzero index of self.
+        """
         if self.coeffs[0] != 0:
             raise ValueError("geometric() needs zero constant term")
-        coeffs = self.coeffs
+        c = self.coeffs[1 : _top(self.coeffs) + 1]
         out = [1]
-        for m in range(1, len(coeffs)):
-            out.append(sum(map(mul, coeffs[m:0:-1], out)))
+        for _ in range(self.trunc):
+            # map stops at the shorter of c_1..c_top and out[m-1], ..., out[0].
+            out.append(sum(map(mul, c, reversed(out))))
         return TruncatedSeries(out)
+
+
+def _top(coeffs: tuple) -> int:
+    """Index of the last nonzero coefficient; 0 for the zero series."""
+    top = len(coeffs) - 1
+    while top > 0 and not coeffs[top]:
+        top -= 1
+    return top
 
 
 def zero(trunc: int) -> TruncatedSeries:
@@ -117,14 +151,14 @@ def _phi_chain(trunc: int) -> list[TruncatedSeries]:
 def phi(k: int, trunc: int) -> TruncatedSeries:
     """Phi_k truncated; [z^n] counts binary trees with n leaves, height <= k.
 
-    Each Phi_k not yet built costs one squaring of the one before, in a
+    Each Phi_k not yet built costs one square() of the one before, in a
     loop, so no recursion depth grows with k.
     """
     if k < 0:
         return zero(trunc)
     chain = _phi_chain(trunc)
     while len(chain) <= k:
-        chain.append(z(trunc) + chain[-1] * chain[-1])
+        chain.append(z(trunc) + chain[-1].square())
     return chain[k]
 
 
@@ -132,8 +166,7 @@ def phi(k: int, trunc: int) -> TruncatedSeries:
 def psi(k: int, trunc: int) -> TruncatedSeries:
     """Psi_k = Phi_k/(1-Phi_k)^2; [z^n] = |B(n, k)|."""
     p = phi(k, trunc)
-    g = p.geometric()
-    return p * g * g
+    return p * p.geometric().square()
 
 
 def _conv(a: tuple, b: tuple, m: int) -> int:
@@ -218,7 +251,7 @@ def count_series(k: int, trunc: int) -> CountSeriesFamily:
 def catalan_series_check(trunc: int) -> bool:
     """Does C(z) = sum c_n z^(n+1) satisfy C = z + C^2 through z^trunc?"""
     c = TruncatedSeries([0] + [catalan(n) for n in range(trunc)])
-    return c == z(trunc) + c * c
+    return c == z(trunc) + c.square()
 
 
 def catalan_prefix_holds(k: int, trunc: int | None = None) -> bool:

@@ -31,11 +31,15 @@ def test_bench_census_runs():
 def test_bench_layers_runs():
     # kmax 50 passes theorem1's witness k = 48.
     out = _run_bench(
-        "bench_layers.py", ["--n", "6", "--k", "2", "--kmax", "50", "--repeats", "1"]
+        "bench_layers.py",
+        ["--n", "6", "--k", "2", "--kmax", "50", "--series", "64:5", "--repeats", "1"],
     )
     assert out.split()[-1] == "48"
-    # The embedding layer multiplies 6 |B(n, k)| times over n <= 6, k <= 2.
     lines = out.splitlines()
+    # The series layer times the Phi chain, geometric() and S at n = 64, k = 5.
+    header = next(i for i, line in enumerate(lines) if "chain (s)" in line)
+    assert lines[header + 1].split()[:2] == ["64", "5"]
+    # The embedding layer multiplies 6 |B(n, k)| times over n <= 6, k <= 2.
     header = next(i for i, line in enumerate(lines) if "embed (s)" in line)
     row = lines[header + 1].split()
     assert row[:2] == ["6", "2"]

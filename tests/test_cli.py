@@ -50,6 +50,31 @@ def test_xi_csv_schema_and_values(tmp_path):
         assert r["xi_lo"] <= r["xi_hi"]
 
 
+def test_out_replaces_existing_file_whole(tmp_path, capsys):
+    argv = ["density", "--n", "8", "--k", "3", "--mode", "dp"]
+    assert cli.main(argv) == 0
+    stdout = capsys.readouterr().out
+    path = tmp_path / "table.csv"
+    path.write_text("stale\n" * 10_000)
+    assert cli.main(argv + ["--out", str(path)]) == 0
+    assert path.read_text() == stdout
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+
+def test_out_keeps_old_file_when_rename_fails(tmp_path, monkeypatch):
+    path = tmp_path / "table.csv"
+    path.write_text("old\n")
+
+    def failing(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(cli.os, "replace", failing)
+    with pytest.raises(OSError):
+        cli.main(["density", "--n", "8", "--k", "3", "--mode", "dp", "--out", str(path)])
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+
 def test_trunc_flag(tmp_path):
     base = ["isolated", "--n", "6", "--k", "2", "--mode", "dp"]
     _, plain = run(base, tmp_path, "p")

@@ -37,6 +37,59 @@ def test_geometric_inverts(coeffs):
     assert all(c == 0 for c in product.coeffs[1:])
 
 
+# A series whose last nonzero coefficient sits at a chosen index, padded
+# with trailing zeros, so the support clip in square() and geometric()
+# cuts the loops short of the series order.
+_supported = st.builds(
+    lambda body, last, pad: tuple(body) + (last,) + (0,) * pad,
+    st.lists(st.integers(-50, 50), max_size=8),
+    st.integers(-50, 50).filter(bool),
+    st.integers(0, 6),
+)
+
+
+@given(_supported)
+@settings(max_examples=120, deadline=None)
+def test_square_matches_product(coeffs):
+    f = series.TruncatedSeries(coeffs)
+    assert f.square() == f * f
+
+
+@pytest.mark.parametrize("coeffs", [(0,), (3,), (-2,), (0, 0, 0, 0), (1, 0, 0)])
+def test_square_zero_and_order_zero(coeffs):
+    f = series.TruncatedSeries(coeffs)
+    assert f.square() == f * f
+
+
+def _geometric_oracle(f):
+    """1/(1 - f) by the full-length recurrence out[m] = sum c_i out[m-i]."""
+    c = f.coeffs
+    out = [1]
+    for m in range(1, len(c)):
+        out.append(sum(c[i] * out[m - i] for i in range(1, m + 1)))
+    return tuple(out)
+
+
+@given(_supported, st.integers(4, 16))
+@settings(max_examples=80, deadline=None)
+def test_geometric_matches_full_recurrence(coeffs, pad):
+    f = series.TruncatedSeries((0,) + coeffs + (0,) * pad)
+    assert f.geometric().coeffs == _geometric_oracle(f)
+
+
+def test_geometric_of_zero_series():
+    assert series.zero(6).geometric() == series.one(6)
+
+
+def test_phi_matches_count_trees_below_order():
+    # For k <= 5, Phi_k stops at z^(2^k), well before the order 64, and
+    # count_trees(n, k) = 0 for n > 2^k checks that nothing lies beyond.
+    for k in range(0, 8):
+        p = series.phi(k, 64)
+        assert p.coeffs == (0,) + tuple(forests.count_trees(n, k) for n in range(1, 65))
+        assert p.geometric().coeffs == _geometric_oracle(p)
+
+
 def test_phi_small_cases():
     # Phi_0 = z, Phi_1 = z + z^2, Phi_2 = z + (z + z^2)^2.
     assert series.phi(0, 5).coeffs == (0, 1, 0, 0, 0, 0)
