@@ -24,9 +24,9 @@ from .errors import CapExceeded
 from .forests import (
     ACTION_LABELS,
     LABEL_WORDS,
+    ForestKey,
     MarkedForest,
-    apply_within,
-    base_forest,
+    TreeTable,
     count_trees_exact_height,
     encode_forest,
     enumerate_bb,  # unused here; perfbench traces it as census.enumerate_bb
@@ -312,7 +312,7 @@ def stats_elements(
     the embedding has checked every other product to land in Y.  Other
     generators multiply all of Y.
     """
-    Y = set(elements)
+    Y = elements if isinstance(elements, (set, frozenset)) else set(elements)
     if not Y:
         raise ValueError("statistics need a nonempty vertex set")
     internal = []
@@ -347,18 +347,26 @@ def stats_elements(
 class Embedding:
     """Injective assignment of normal forms to B(n, k), BFS from the base.
 
-    `assignment` lists (forest, element) pairs in BFS order.  `blocked`
-    maps each action label to the elements whose forest has that action
-    blocked within B(n, k), also in BFS order.
+    `flat` maps each forest's flat key (read in `table`) to its element,
+    in BFS order; `assignment` decodes it to (forest, element) pairs when
+    read.  `blocked` maps each action label to the elements whose forest
+    has that action blocked within B(n, k), also in BFS order.
     """
 
     n: int
     k: int
-    assignment: tuple[tuple[MarkedForest, NormalForm], ...]
+    flat: dict[ForestKey, NormalForm]
+    table: TreeTable = field(repr=False, compare=False)
     blocked: dict[str, list[NormalForm]]
+    _image: frozenset[NormalForm] = field(repr=False, compare=False)
 
-    def image(self) -> set[NormalForm]:
-        return {nf for _, nf in self.assignment}
+    @property
+    def assignment(self) -> tuple[tuple[MarkedForest, NormalForm], ...]:
+        decode = self.table.decode
+        return tuple((decode(key), nf) for key, nf in self.flat.items())
+
+    def image(self) -> frozenset[NormalForm]:
+        return self._image
 
 
 def embed(
@@ -366,55 +374,53 @@ def embed(
     k: int,
     n_cap: int = EMBED_N_CAP,
     cap: int = DEFAULT_CAP,
-    _action: Callable[[str, MarkedForest, int], Optional[MarkedForest]] = apply_within,
+    _moves: Callable[[TreeTable, ForestKey], tuple] = TreeTable.moves,
 ) -> Embedding:
     """Embed B(n, k) into the Cayley graph of F.
 
     The all-trivial forest with leftmost mark goes to the identity; each
     action edge multiplies on the right by its generator.  Every edge is
     checked in both directions during the BFS, and the final assignment
-    must be injective and cover all of B(n, k).
+    must be injective and cover all of B(n, k).  The BFS runs on flat
+    forest keys over one TreeTable (`_moves` replaces its actions in
+    negative controls).
     """
     if n > n_cap:
         raise CapExceeded(f"embed supports n <= {n_cap} (got n = {n})")
     size = _count_bb_within_cap(n, k, cap)
-    base = base_forest(n)
-    assigned: dict[MarkedForest, NormalForm] = {base: IDENTITY}
-    blocked: dict[str, list[NormalForm]] = {label: [] for label in ACTION_LABELS}
-    frontier = [base]
+    table = TreeTable(k)
+    base = ((0,) * n, 0)
+    assigned: dict[ForestKey, NormalForm] = {base: IDENTITY}
+    blocked = {label: [] for label in ACTION_LABELS}
+    edges = [(label, _ACTION_STEPS[label], blocked[label]) for label in ACTION_LABELS]
+    frontier = [(base, IDENTITY)]
     while frontier:
         nxt = []
-        for f in frontier:
-            e = assigned[f]
-            for label in ACTION_LABELS:
-                g = _action(label, f, k)
+        for f, e in frontier:
+            for (label, step, blocked_e), g in zip(edges, _moves(table, f)):
                 if g is None:
-                    blocked[label].append(e)
+                    blocked_e.append(e)
                     continue
-                ge = multiply(e, _ACTION_STEPS[label])
+                ge = multiply(e, step)
                 seen = assigned.get(g)
                 if seen is None:
                     assigned[g] = ge
-                    nxt.append(g)
+                    nxt.append((g, ge))
                 elif seen != ge:
                     raise EmbeddingError(
-                        f"edge {label} at {encode_forest(f)} gives {ge}, "
-                        f"but {encode_forest(g)} already carries {seen}"
+                        f"edge {label} at {encode_forest(table.decode(f))} "
+                        f"gives {ge}, but {encode_forest(table.decode(g))} "
+                        f"already carries {seen}"
                     )
         frontier = nxt
     if len(assigned) != size:
         raise EmbeddingError(
             f"B({n},{k}) not reached fully: {len(assigned)} of {size}"
         )
-    values = {nf for nf in assigned.values()}
-    if len(values) != len(assigned):
+    image = frozenset(assigned.values())
+    if len(image) != len(assigned):
         raise EmbeddingError(f"assignment over B({n},{k}) is not injective")
-    return Embedding(
-        n=n,
-        k=k,
-        assignment=tuple(assigned.items()),
-        blocked=blocked,
-    )
+    return Embedding(n, k, assigned, table, blocked, image)
 
 
 def outer_boundary_exact(

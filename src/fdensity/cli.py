@@ -2,8 +2,8 @@
 
 Subcommands: group-verify, xi, density, theorem1, theorem2, embed-verify,
 enumerate, isolated.  Exit codes: 0 success / claims certified; 2 a claim
-could not be certified within budget; 3 invalid configuration; 4 internal
-assertion failure.
+could not be certified within budget; 3 invalid configuration or an
+unwritable --out; 4 internal assertion failure.
 
 Output is byte-identical for a fixed configuration regardless of
 --threads: work is distributed over rows and merged in input order, and
@@ -42,6 +42,10 @@ class UsageError(ValueError):
     pass
 
 
+class OutputError(Exception):
+    """--out could not be written."""
+
+
 def _decimal(x: Fraction, places: int = DECIMAL_PLACES, mode: str = "nearest") -> str:
     """Exact decimal string; 'floor'/'ceil' for outward interval endpoints."""
     q = Fraction(x) * 10**places
@@ -70,7 +74,9 @@ def _pmap(fn: Callable, items: Sequence, threads: int) -> list:
         return [fn(x) for x in items]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    # Under fork the pool starts all its workers on the first submit, so
+    # it gets no more of them than there are items.
+    with ProcessPoolExecutor(max_workers=min(threads, len(items))) as pool:
         return list(pool.map(fn, items))
 
 
@@ -104,6 +110,10 @@ def _emit(
             with open(tmp, "w") as fh:
                 fh.write(text)
             os.replace(tmp, out)
+        except OSError as exc:
+            raise OutputError(
+                f"cannot write --out {out}: {exc.strerror or exc}"
+            ) from None
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
@@ -470,7 +480,7 @@ def _embed_summary(n: int, k: int, emb: census.Embedding) -> dict:
     return {
         "n": n,
         "k": k,
-        "forests": len(emb.assignment),
+        "forests": len(emb.flat),
         "distinct_elements": len(emb.image()),
         "status": "consistent+injective",
         "provenance": TAG_ENUM,
@@ -484,13 +494,8 @@ def _embed_row(job: tuple[int, int, int]) -> dict:
 
 def cmd_embed_verify(args: argparse.Namespace) -> int:
     if args.perturb:
-        def bad(label, f, k):
-            if label == "x1bar":
-                return forests.apply_within("x1", f, k)
-            return forests.apply_within(label, f, k)
-
         try:
-            census.embed(3, 1, _action=bad)
+            census.embed(3, 1, _moves=forests.moves_x1bar_as_x1)
         except census.EmbeddingError as exc:
             rows = [
                 {
@@ -694,6 +699,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"fdensity: invalid configuration: {exc}", file=sys.stderr)
+        return 3
+    except OutputError as exc:
+        print(f"fdensity: {exc}", file=sys.stderr)
         return 3
     except (CapExceeded, PrecisionExhausted, CertificationError) as exc:
         print(f"fdensity: not certified within budget: {exc}", file=sys.stderr)

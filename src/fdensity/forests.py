@@ -261,6 +261,85 @@ def is_isolated(f: MarkedForest, k: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# interned trees and the flat actions (the embedding's BFS)
+
+# A flat forest: (tree ids, mark), the ids read in a TreeTable.
+ForestKey = tuple[tuple[int, ...], int]
+
+
+class TreeTable:
+    """Interned trees of height at most k, and the six actions within
+    B(n, k) on flat forest keys.
+
+    Id 0 is the leaf; every other id is an inner node with children
+    kids[id] = (left, right) and height heights[id].  A pair is interned
+    once, so equal trees have equal ids and equal forests equal keys.
+    `moves` agrees with `apply_within` label for label.
+    """
+
+    def __init__(self, k: int) -> None:
+        self.k = k
+        self.kids: list[Optional[tuple[int, int]]] = [None]
+        self.heights = [0]
+        self._ids: dict[tuple[int, int], int] = {}
+        self._trees: list[Tree] = [LEAF]
+
+    def intern(self, left: int, right: int) -> int:
+        pair = (left, right)
+        t = self._ids.get(pair)
+        if t is None:
+            t = self._ids[pair] = len(self.kids)
+            self.kids.append(pair)
+            heights = self.heights
+            heights.append(1 + max(heights[left], heights[right]))
+        return t
+
+    def moves(self, key: ForestKey) -> tuple[Optional[ForestKey], ...]:
+        """The images of a forest under ACTION_LABELS, in that order; None
+        where an action is undefined or a merge would exceed height k."""
+        ts, m = key
+        last = len(ts) - 1
+        t = ts[m]
+        if t:
+            left, right = self.kids[t]
+            split = ts[:m] + (left, right) + ts[m + 1:]
+            x1, x1bar = (split, m), (split, m + 1)
+        else:
+            x1 = x1bar = None
+        heights, k = self.heights, self.k
+        low = heights[t] < k
+        return (
+            (ts, m - 1) if m else None,
+            (ts, m + 1) if m < last else None,
+            x1,
+            (ts[:m] + (self.intern(t, ts[m + 1]),) + ts[m + 2:], m)
+            if m < last and low and heights[ts[m + 1]] < k
+            else None,
+            x1bar,
+            (ts[:m - 1] + (self.intern(ts[m - 1], t),) + ts[m + 1:], m - 1)
+            if m and low and heights[ts[m - 1]] < k
+            else None,
+        )
+
+    def decode(self, key: ForestKey) -> MarkedForest:
+        trees = self._trees
+        # Children are interned before their parent, so one pass in id
+        # order decodes every id not yet decoded.
+        for left, right in self.kids[len(trees):]:
+            trees.append((trees[left], trees[right]))
+        ts, m = key
+        return MarkedForest(tuple(trees[t] for t in ts), m)
+
+
+def moves_x1bar_as_x1(
+    table: TreeTable, key: ForestKey
+) -> tuple[Optional[ForestKey], ...]:
+    """A broken action for negative controls: x1bar moves as x1 does."""
+    x0, x0inv, x1, x1inv, _, x1barinv = table.moves(key)
+    return x0, x0inv, x1, x1inv, x1, x1barinv
+
+
+# ---------------------------------------------------------------------------
 # enumeration of B(n, k)
 
 

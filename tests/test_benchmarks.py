@@ -40,9 +40,12 @@ def test_bench_layers_runs():
     header = next(i for i, line in enumerate(lines) if "chain (s)" in line)
     assert lines[header + 1].split()[:2] == ["64", "5"]
     # The embedding layer multiplies 6 |B(n, k)| times over n <= 6, k <= 2.
+    # The BFS and the statistics pass are timed apart.
     header = next(i for i, line in enumerate(lines) if "embed (s)" in line)
-    row = lines[header + 1].split()
-    assert row[:2] == ["6", "2"]
-    assert int(row[3]) == 6 * sum(
+    columns = [c.strip() for c in lines[header].split("  ") if c.strip()]
+    row = dict(zip(columns, lines[header + 1].split()))
+    assert (row["n <="], row["k <="]) == ("6", "2")
+    assert float(row["embed (s)"]) > 0 and float(row["stats (s)"]) > 0
+    assert int(row["multiplies"]) == 6 * sum(
         count_bb(n, k) for n in range(1, 7) for k in range(0, 3)
     )

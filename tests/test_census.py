@@ -150,13 +150,8 @@ def test_embed_refuses_large_n():
 
 
 def test_embed_perturbed_action_detected():
-    def bad(label, f, k):
-        if label == "x1bar":
-            return forests.apply_within("x1", f, k)
-        return forests.apply_within(label, f, k)
-
     with pytest.raises(census.EmbeddingError):
-        census.embed(3, 1, _action=bad)
+        census.embed(3, 1, _moves=forests.moves_x1bar_as_x1)
 
 
 def test_outer_boundary_golden():

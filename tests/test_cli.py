@@ -69,10 +69,54 @@ def test_out_keeps_old_file_when_rename_fails(tmp_path, monkeypatch):
         raise OSError("rename failed")
 
     monkeypatch.setattr(cli.os, "replace", failing)
-    with pytest.raises(OSError):
-        cli.main(["density", "--n", "8", "--k", "3", "--mode", "dp", "--out", str(path)])
+    argv = ["density", "--n", "8", "--k", "3", "--mode", "dp", "--out", str(path)]
+    assert cli.main(argv) == 3
     assert path.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+
+@pytest.mark.parametrize("target", ["missing/x.csv", "a_directory"])
+def test_out_unwritable_exits_3(tmp_path, capsys, target):
+    # A missing parent directory fails on the temp file, a directory as
+    # target fails on the rename; both are one line on stderr and exit 3.
+    (tmp_path / "a_directory").mkdir()
+    out = tmp_path / target
+    argv = ["density", "--n", "8", "--k", "3", "--mode", "dp", "--out", str(out)]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"fdensity: cannot write --out {out}: " + (
+        "No such file or directory\n" if target.startswith("missing")
+        else "Is a directory\n"
+    )
+    assert "Traceback" not in captured.err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a_directory"]
+
+
+def test_pmap_pool_no_larger_than_items(monkeypatch):
+    # A fake executor records the pool size; no process is started.
+    import concurrent.futures
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    assert cli._pmap(abs, [-1, -2], 64) == [1, 2]
+    assert cli._pmap(abs, [-1, -2, -3], 2) == [1, 2, 3]
+    assert cli._pmap(abs, [-1], 64) == [1]
+    assert sizes == [2, 2]
 
 
 def test_trunc_flag(tmp_path):
@@ -325,6 +369,21 @@ LIST_SHA256 = {
     "csv": "f04925afaf076886115e68bbe1f3a632653868ece4fd30a7ca90ae11e7e577ea",
     "json": "0ae01ae7b67bde8c5cc74a3a20dc448b68baf69935f172a3efb87103355400d2",
 }
+
+
+# sha256 of the stdout of `embed-verify --perturb`, per format: the
+# EmbeddingError message names the same edge, forests and elements.
+PERTURB_SHA256 = {
+    "csv": "ad790e8c213d0db7839f5ee0065b35d048b94a7c0e4019a7e66be2b76f2291b3",
+    "json": "f4450391e5fe94cf51c5983681c1a60596d7b50ef4c2a2fb9226a32c947c5065",
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_embed_verify_perturb_bytes_pinned(capsys, fmt):
+    assert cli.main(["embed-verify", "--perturb", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PERTURB_SHA256[fmt]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -150,6 +150,32 @@ def test_actions_stay_in_family():
                         assert g in members
 
 
+def test_flat_moves_match_apply_within():
+    # On every forest of B(n, k), the embedding's flat moves, decoded, are
+    # the object model's actions, None where apply_within is None.
+    for n in range(1, 9):
+        for k in range(0, 4):
+            emb = census.embed(n, k)
+            decode = emb.table.decode
+            assert {decode(key) for key in emb.flat} == set(forests.iter_bb(n, k))
+            for key in emb.flat:
+                f = decode(key)
+                for label, g in zip(forests.ACTION_LABELS, emb.table.moves(key)):
+                    expected = forests.apply_within(label, f, k)
+                    got = None if g is None else decode(g)
+                    assert got == expected, (label, forests.encode_forest(f), k)
+
+
+def test_tree_table_interns_each_tree_once():
+    table = forests.TreeTable(3)
+    a = table.intern(0, 0)
+    assert table.intern(0, 0) == a
+    b = table.intern(a, 0)
+    assert table.intern(a, 0) == b != a
+    assert (table.kids[b], table.heights[b]) == ((a, 0), 2)
+    assert table.decode(((b, a, 0), 1)) == forests.decode_forest("((..).) *(..) .")
+
+
 def test_x1bar_is_x1_then_x0_inverse():
     # x1bar = x1 x0^-1 as group elements, hence as partial maps.
     w1 = group.normalize(forests.LABEL_WORDS["x1bar"])
