@@ -1,8 +1,8 @@
-"""Time four layers: normal-form multiplication, the embedding/boundary
-BFS, series construction, and the xi_k bisection.
+"""Time five layers: normal-form multiplication, the embedding/boundary
+BFS, the census walk, series construction, and the xi_k bisection.
 
 Usage: python benchmarks/bench_layers.py [--n 10] [--k 3] [--kmax 512]
-       [--series 512:12 1024:24] [--repeats 3]
+       [--census 14:4] [--series 512:12 1024:24] [--repeats 3]
 
 multiply: group.multiply over embed(n, k).image() x the six signed steps
 of the extended set {x0, x1, x1bar}, in microseconds per call (minimum
@@ -18,12 +18,18 @@ counted in one more untimed pass.  The BFS multiplies each unblocked
 count must be 6 |B(n', k')| summed over the grid; every boundary must stay
 within the doubling bound of theorem2.
 
+census: for --census N:K, the walk census._walk on the exact-height table
+_height_table(n, K) for each n in [N-4, N], in seconds (minimum over the
+repeats) and forests per second.  Every walk total must equal |B(n, K)|,
+and the walk's tallies must equal census_counts(n, K, "dp").
+
 series: for each N:K in --series, the three steps of count_series(K, N),
 each repeat starting from empty _phi_chain and count_series caches:
 the Phi chain phi(K, N), G = geometric(), and the S product
 (1 - Phi_(K-1)) G, in seconds (minimum over the repeats).  G and S must
 equal count_series(K, N), and every chain level must equal z plus the
-__mul__ square of the level before.
+__mul__ square of the level before.  `--series 256:4 512:4 1024:4` times
+the dp route at the census walk's default height.
 
 xi: intervals.xi(k) for k = 1..kmax at the default tolerance, each repeat
 starting from an empty cache; seconds (minimum over the repeats) and the
@@ -35,7 +41,7 @@ of theorem1, whenever kmax >= 48.
 import argparse
 import time
 
-from fdensity import census, group, intervals, series
+from fdensity import census, forests, group, intervals, series
 
 THEOREM1_WITNESS = 48
 
@@ -96,6 +102,22 @@ def bench_embedding(n: int, k: int, repeats: int) -> None:
     _print_row([n, k, f"{best_embed:.4f}", f"{best_stats:.4f}", calls])
 
 
+def bench_census(n: int, k: int, repeats: int) -> None:
+    _print_row(["n", "k", "|B(n,k)|", "walk (s)", "forests/s"])
+    for nn in range(max(1, n - 4), n + 1):
+        table = census._height_table(nn, k)
+        best = float("inf")
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            out = census._walk(nn, k, table)
+            best = min(best, time.perf_counter() - t0)
+        total = out[0]
+        assert total == forests.count_bb(nn, k), "walk total != |B(n,k)|"
+        walked = census.CensusCounts(nn, k, "enumerate", *out[:7])
+        assert walked == census.census_counts(nn, k, "dp"), "walk != dp"
+        _print_row([nn, k, total, f"{best:.4f}", f"{total / best:.3g}"])
+
+
 def bench_series(cases: list[tuple[int, int]], repeats: int) -> None:
     _print_row(["n", "k", "chain (s)", "geometric (s)", "S (s)"])
     for n, k in cases:
@@ -121,7 +143,7 @@ def bench_series(cases: list[tuple[int, int]], repeats: int) -> None:
         _print_row([n, k, *(f"{b:.4f}" for b in best)])
 
 
-def _series_case(text: str) -> tuple[int, int]:
+def _case(text: str) -> tuple[int, int]:
     n, k = text.split(":")
     return int(n), int(k)
 
@@ -166,14 +188,17 @@ def main() -> None:
     ap.add_argument("--n", type=int, default=10)
     ap.add_argument("--k", type=int, default=3)
     ap.add_argument("--kmax", type=int, default=512)
+    ap.add_argument("--census", type=_case, default=(14, 4))
     ap.add_argument(
-        "--series", type=_series_case, nargs="+", default=[(512, 12), (1024, 24)]
+        "--series", type=_case, nargs="+", default=[(512, 12), (1024, 24)]
     )
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
     bench_multiply(args.n, args.k, args.repeats)
     print()
     bench_embedding(args.n, args.k, args.repeats)
+    print()
+    bench_census(*args.census, args.repeats)
     print()
     bench_series(args.series, args.repeats)
     print()

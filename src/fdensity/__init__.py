@@ -19,7 +19,7 @@ Layers:
 
 __version__ = "0.1.0"
 
-from .errors import CapExceeded, CertificationError, PrecisionExhausted
+from .errors import CapExceeded, PrecisionExhausted
 from .group import (
     IDENTITY,
     GenSetSpec,
@@ -79,7 +79,6 @@ __all__ = [
     "__version__",
     "CapExceeded",
     "CensusCounts",
-    "CertificationError",
     "CertifiedInterval",
     "DEFAULT_TOL",
     "Embedding",

@@ -159,15 +159,14 @@ class CensusCounts:
         }
         labels = [label for label, _ in genset.signed()]
         blocked = tuple((label, blocked_by_label[label]) for label in labels)
-        internal = tuple((label, self.total - b) for label, b in blocked)
-        return SubgraphStats(vertices=self.total, internal=internal, blocked=blocked)
+        return SubgraphStats(vertices=self.total, blocked=blocked)
 
     def bprime(self) -> "SubgraphStats":
         """Statistics of B'(n, k): B(n, k) minus its isolated vertices.
 
-        Isolated vertices carry no internal symmetric-set edges, so the
-        degree sum is unchanged while the vertex count drops; the density
-        rises by the exact factor beta/(beta - isolated).
+        An isolated vertex is blocked on all four symmetric-set labels, so
+        removing it lowers each blocked count by one and keeps the degree
+        sum; the density rises by the exact factor beta/(beta - isolated).
         """
         remaining = self.total - self.isolated
         if remaining == 0:
@@ -175,9 +174,11 @@ class CensusCounts:
                 f"B'({self.n},{self.k}) is empty: "
                 f"all {self.total} vertices are isolated"
             )
-        internal = self.stats(GenSetSpec.symmetric()).internal
-        blocked = tuple((label, remaining - cnt) for label, cnt in internal)
-        return SubgraphStats(vertices=remaining, internal=internal, blocked=blocked)
+        blocked = self.stats(GenSetSpec.symmetric()).blocked
+        return SubgraphStats(
+            vertices=remaining,
+            blocked=tuple((label, b - self.isolated) for label, b in blocked),
+        )
 
     def doubling_bound(self) -> int:
         """Edge-selection upper bound on #dY for Y = B(n, k), extended set.
@@ -250,37 +251,38 @@ def census_counts(
 class SubgraphStats:
     """Exact per-label edge statistics of a finite induced subgraph.
 
-    For each signed generator a, internal(a) + blocked(a) = #Y: every
-    vertex either keeps its a-edge inside Y or contributes one Cheeger
-    boundary edge.  outer_boundary is #dY, known only in the element
-    model (None for forest-model statistics).
+    For each signed generator a, blocked(a) vertices of Y send their
+    a-edge out of Y, one Cheeger boundary edge each, and the other
+    internal(a) = #Y - blocked(a) keep it inside.  outer_boundary is #dY,
+    known only in the element model (None for forest-model statistics).
     """
 
     vertices: int
-    internal: tuple[tuple[str, int], ...]
     blocked: tuple[tuple[str, int], ...]
     outer_boundary: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.vertices <= 0:
             raise ValueError("statistics need a nonempty vertex set")
-        if tuple(l for l, _ in self.internal) != tuple(l for l, _ in self.blocked):
-            raise ValueError("label sequences differ")
-        for (label, inn), (_, out) in zip(self.internal, self.blocked):
-            if inn + out != self.vertices:
+        for label, out in self.blocked:
+            if not 0 <= out <= self.vertices:
                 raise AssertionError(
-                    f"label {label}: {inn} internal + {out} blocked != {self.vertices}"
+                    f"label {label}: {out} blocked outside 0..{self.vertices}"
                 )
 
     @property
+    def internal(self) -> tuple[tuple[str, int], ...]:
+        return tuple((label, self.vertices - out) for label, out in self.blocked)
+
+    @property
     def m(self) -> int:
-        if len(self.internal) % 2:
+        if len(self.blocked) % 2:
             raise AssertionError("odd number of signed labels")
-        return len(self.internal) // 2
+        return len(self.blocked) // 2
 
     @property
     def degree_sum(self) -> int:
-        return sum(c for _, c in self.internal)
+        return 2 * self.m * self.vertices - self.cheeger_total
 
     @property
     def cheeger_total(self) -> int:
@@ -315,7 +317,6 @@ def stats_elements(
     Y = elements if isinstance(elements, (set, frozenset)) else set(elements)
     if not Y:
         raise ValueError("statistics need a nonempty vertex set")
-    internal = []
     blocked_counts = []
     outside: set[NormalForm] = set()
     for label, word in genset.signed():
@@ -329,13 +330,9 @@ def stats_elements(
             if t not in Y:
                 outside.add(t)
                 leaving += 1
-        internal.append((label, len(Y) - leaving))
         blocked_counts.append((label, leaving))
     return SubgraphStats(
-        vertices=len(Y),
-        internal=tuple(internal),
-        blocked=tuple(blocked_counts),
-        outer_boundary=len(outside),
+        vertices=len(Y), blocked=tuple(blocked_counts), outer_boundary=len(outside)
     )
 
 
@@ -372,7 +369,6 @@ class Embedding:
 def embed(
     n: int,
     k: int,
-    n_cap: int = EMBED_N_CAP,
     cap: int = DEFAULT_CAP,
     _moves: Callable[[TreeTable, ForestKey], tuple] = TreeTable.moves,
 ) -> Embedding:
@@ -385,8 +381,8 @@ def embed(
     forest keys over one TreeTable (`_moves` replaces its actions in
     negative controls).
     """
-    if n > n_cap:
-        raise CapExceeded(f"embed supports n <= {n_cap} (got n = {n})")
+    if n > EMBED_N_CAP:
+        raise CapExceeded(f"embed supports n <= {EMBED_N_CAP} (got n = {n})")
     size = _count_bb_within_cap(n, k, cap)
     table = TreeTable(k)
     base = ((0,) * n, 0)
@@ -427,9 +423,8 @@ def outer_boundary_exact(
     n: int,
     k: int,
     genset: GenSetSpec,
-    n_cap: int = EMBED_N_CAP,
     cap: int = DEFAULT_CAP,
 ) -> int:
     """#dY for Y = B(n, k) embedded in the Cayley graph."""
-    emb = embed(n, k, n_cap, cap)
+    emb = embed(n, k, cap)
     return stats_elements(emb.image(), genset, emb.blocked).outer_boundary

@@ -21,11 +21,11 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import __version__
 from . import census, forests, group, intervals
-from .errors import CapExceeded, CertificationError, PrecisionExhausted
+from .errors import CapExceeded, PrecisionExhausted
 
 DECIMAL_PLACES = 12
 
@@ -236,21 +236,8 @@ DENSITY_COLUMNS = [
 ]
 
 
-def _series_order(trunc: Optional[int], ns: Iterable[int], mode: str) -> int:
-    """The dp series order for a table: --trunc, else the largest n.  One
-    order for every row, so each k builds its series once (coefficients
-    do not depend on the order, see census.census_counts); values below
-    the largest n cannot cover [z^n]."""
-    top = max(ns)
-    if trunc is None:
-        return top
-    if trunc < top and mode != "enumerate":
-        raise UsageError(f"--trunc {trunc} is below the largest requested n={top}")
-    return trunc
-
-
 def _density_row(job: tuple) -> dict:
-    n, k, genset_name, mode, cap, boundary, trunc = job
+    n, k, genset_name, mode, cap, boundary, order = job
     genset = group.by_name(genset_name)
     prov = _PROVENANCE[mode]
     if genset.name == "custom":
@@ -258,10 +245,10 @@ def _density_row(job: tuple) -> dict:
         st = census.stats_elements(emb.image(), genset, emb.blocked)
         prov = TAG_ENUM
         counts = census.census_counts(
-            n, k, "dp" if mode == "dp" else "enumerate", cap, trunc
+            n, k, "dp" if mode == "dp" else "enumerate", cap, order
         )
     else:
-        counts = census.census_counts(n, k, mode, cap, trunc)
+        counts = census.census_counts(n, k, mode, cap, order)
         st = counts.stats(genset)
     row = {
         "n": n,
@@ -296,9 +283,10 @@ def _density_row(job: tuple) -> dict:
 def cmd_density(args: argparse.Namespace) -> int:
     ns = _range_from(args.n, args.nmax, "n")
     ks = _range_from(args.k, args.kmax, "k")
-    order = _series_order(args.trunc, ns, args.mode)
+    # Every row reads the dp series at the table's largest n, so each k
+    # builds its series once (the coefficients do not depend on the order).
     jobs = [
-        (n, k, args.genset, args.mode, args.cap, args.boundary, order)
+        (n, k, args.genset, args.mode, args.cap, args.boundary, max(ns))
         for n in ns
         for k in ks
     ]
@@ -314,6 +302,8 @@ def _range_from(single: Optional[int], upto: Optional[int], name: str) -> list[i
     if single is not None:
         return [single]
     if upto is not None:
+        if name == "n" and upto < 1:
+            raise UsageError("--nmax must be at least 1")
         return list(range(0 if name == "k" else 1, upto + 1))
     raise UsageError(f"one of --{name} / --{name}max is required")
 
@@ -355,6 +345,8 @@ THEOREM1_COLUMNS = [
 
 
 def cmd_theorem1(args: argparse.Namespace) -> int:
+    if args.kmax < 1:
+        raise UsageError("--kmax must be at least 1")
     jobs = [(k, args.tol) for k in range(1, args.kmax + 1)]
     rows = _pmap(_theorem1_row, jobs, args.threads)
     first_witness = next((r["k"] for r in rows if r["_bprime_lo"] > 3), None)
@@ -398,7 +390,6 @@ def _theorem2_row(job: tuple[int, Fraction]) -> dict:
     row.update(_iv_cols(t, "three_xi"))
     row.update(_iv_cols(1 + t, "one_plus_three_xi"))
     row["below_1"] = "certified" if t.hi < 1 else "no"
-    row["_hi"] = t.hi
     return row
 
 
@@ -460,8 +451,6 @@ def cmd_theorem2(args: argparse.Namespace) -> int:
         boundary_checks_pass=bounds_ok,
         one_plus_three_xi_gap_to_7_4=_decimal(gap, mode="ceil"),
     )
-    for r in rows:
-        r.pop("_hi")
     _emit(rows + check_rows, THEOREM2_COLUMNS, meta, args.format, args.out)
     if k0 is None or not tail_ok:
         print(f"theorem2: no certified k <= {args.kmax}", file=sys.stderr)
@@ -566,8 +555,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _isolated_row(job: tuple) -> dict:
-    n, k, mode, cap, trunc = job
-    counts = census.census_counts(n, k, mode, cap, trunc)
+    n, k, mode, cap, order = job
+    counts = census.census_counts(n, k, mode, cap, order)
     return {
         "n": n,
         "k": k,
@@ -582,8 +571,7 @@ def _isolated_row(job: tuple) -> dict:
 def cmd_isolated(args: argparse.Namespace) -> int:
     ns = _range_from(args.n, args.nmax, "n")
     ks = _range_from(args.k, args.kmax, "k")
-    order = _series_order(args.trunc, ns, args.mode)
-    jobs = [(n, k, args.mode, args.cap, order) for n in ns for k in ks]
+    jobs = [(n, k, args.mode, args.cap, max(ns)) for n in ns for k in ks]
     rows = _pmap(_isolated_row, jobs, args.threads)
     columns = ["n", "k", "beta", "trivial_marked", "x1inv_blocked", "isolated", "provenance"]
     _emit(rows, columns, _meta(args, "isolated"), args.format, args.out)
@@ -640,8 +628,6 @@ def build_parser() -> _Parser:
     p.add_argument("--genset", default="standard",
                    help="standard|symmetric|extended|custom:<words>")
     p.add_argument("--mode", choices=("enumerate", "dp", "both"), default="enumerate")
-    p.add_argument("--trunc", type=int,
-                   help="series order for dp runs (default: largest n)")
     p.add_argument("--boundary", choices=("auto", "always", "never"), default="auto",
                    help="compute exact outer boundary via the embedding")
     _add_common(p, "csv")
@@ -684,8 +670,6 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int)
     p.add_argument("--kmax", type=int)
     p.add_argument("--mode", choices=("enumerate", "dp", "both"), default="enumerate")
-    p.add_argument("--trunc", type=int,
-                   help="series order for dp runs (default: largest n)")
     _add_common(p, "csv")
     p.set_defaults(func=cmd_isolated)
 
@@ -703,7 +687,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OutputError as exc:
         print(f"fdensity: {exc}", file=sys.stderr)
         return 3
-    except (CapExceeded, PrecisionExhausted, CertificationError) as exc:
+    except (CapExceeded, PrecisionExhausted) as exc:
         print(f"fdensity: not certified within budget: {exc}", file=sys.stderr)
         return 2
     except (AssertionError, census.EmbeddingError) as exc:

@@ -7,7 +7,3 @@ class CapExceeded(RuntimeError):
 
 class PrecisionExhausted(RuntimeError):
     """A certified bound could not be achieved within the precision budget."""
-
-
-class CertificationError(RuntimeError):
-    """A claim could not be certified (e.g. no witness within the sweep)."""

@@ -35,7 +35,7 @@ from operator import mul
 from typing import Iterator, Optional
 
 from .errors import CapExceeded
-from .group import W_X0, W_X1, W_X1BAR, Word, inverse_word
+from .group import GenSetSpec, Word
 
 Tree = Optional[tuple]
 
@@ -43,14 +43,7 @@ LEAF: Tree = None
 
 ACTION_LABELS = ("x0", "x0^-1", "x1", "x1^-1", "x1bar", "x1bar^-1")
 
-LABEL_WORDS: dict[str, Word] = {
-    "x0": W_X0,
-    "x0^-1": inverse_word(W_X0),
-    "x1": W_X1,
-    "x1^-1": inverse_word(W_X1),
-    "x1bar": W_X1BAR,
-    "x1bar^-1": inverse_word(W_X1BAR),
-}
+LABEL_WORDS: dict[str, Word] = dict(GenSetSpec.extended().signed())
 
 
 # ---------------------------------------------------------------------------

@@ -307,8 +307,6 @@ class LimitFractions:
 
     k: int
     xi: CertifiedInterval
-    trivial_fraction: CertifiedInterval
-    edge_fraction: CertifiedInterval
     isolated_fraction: CertifiedInterval
     density_standard: CertifiedInterval
     density_symmetric: CertifiedInterval
@@ -332,8 +330,6 @@ def limit_fractions(
     return LimitFractions(
         k=k,
         xi=x,
-        trivial_fraction=x,
-        edge_fraction=CertifiedInterval.point(0),
         isolated_fraction=pinf,
         density_standard=4 - 2 * x,
         density_symmetric=dsym,

@@ -187,8 +187,6 @@ class CountSeriesFamily:
           height exactly k
     """
 
-    k: int
-    trunc: int
     g: TruncatedSeries
     side: TruncatedSeries
 
@@ -207,8 +205,8 @@ class CountSeriesFamily:
                           height k, z G^2
         isolated:         all four symmetric-set labels blocked, z S^2
         """
-        if not 0 <= n <= self.trunc:
-            raise ValueError(f"[z^{n}] is outside the series order {self.trunc}")
+        if not 0 <= n <= self.g.trunc:
+            raise ValueError(f"[z^{n}] is outside the series order {self.g.trunc}")
         g = self.g.coeffs
         s = self.side.coeffs
         edge = g[n] - (n == 0)
@@ -245,7 +243,7 @@ def count_series(k: int, trunc: int) -> CountSeriesFamily:
         raise ValueError("k must be nonnegative")
     g = phi(k, trunc).geometric()
     side = g - phi(k - 1, trunc) * g
-    return CountSeriesFamily(k=k, trunc=trunc, g=g, side=side)
+    return CountSeriesFamily(g=g, side=side)
 
 
 def catalan_series_check(trunc: int) -> bool:

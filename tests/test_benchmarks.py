@@ -24,15 +24,22 @@ def _run_bench(script, argv):
     return proc.stdout
 
 
-def test_bench_census_runs():
-    _run_bench("bench_census.py", ["--nmax", "8", "--k", "3", "--repeats", "1"])
+def _table_row(lines, marker, offset):
+    """The row `offset` lines below the header that contains `marker`,
+    keyed by the header's columns."""
+    header = next(i for i, line in enumerate(lines) if marker in line)
+    columns = [c.strip() for c in lines[header].split("  ") if c.strip()]
+    return dict(zip(columns, lines[header + offset].split()))
 
 
 def test_bench_layers_runs():
     # kmax 50 passes theorem1's witness k = 48.
     out = _run_bench(
         "bench_layers.py",
-        ["--n", "6", "--k", "2", "--kmax", "50", "--series", "64:5", "--repeats", "1"],
+        [
+            "--n", "6", "--k", "2", "--kmax", "50", "--census", "8:3",
+            "--series", "64:5", "--repeats", "1",
+        ],
     )
     assert out.split()[-1] == "48"
     lines = out.splitlines()
@@ -41,11 +48,12 @@ def test_bench_layers_runs():
     assert lines[header + 1].split()[:2] == ["64", "5"]
     # The embedding layer multiplies 6 |B(n, k)| times over n <= 6, k <= 2.
     # The BFS and the statistics pass are timed apart.
-    header = next(i for i, line in enumerate(lines) if "embed (s)" in line)
-    columns = [c.strip() for c in lines[header].split("  ") if c.strip()]
-    row = dict(zip(columns, lines[header + 1].split()))
+    row = _table_row(lines, "embed (s)", 1)
     assert (row["n <="], row["k <="]) == ("6", "2")
     assert float(row["embed (s)"]) > 0 and float(row["stats (s)"]) > 0
     assert int(row["multiplies"]) == 6 * sum(
         count_bb(n, k) for n in range(1, 7) for k in range(0, 3)
     )
+    # The census layer walks B(n, 3) for n = 4..8; its fifth row is n = 8.
+    row = _table_row(lines, "walk (s)", 5)
+    assert (row["n"], row["k"], row["|B(n,k)|"]) == ("8", "3", str(count_bb(8, 3)))

@@ -55,6 +55,14 @@ def test_stats_b21_symmetric_golden():
     assert st.cheeger_total == 8
 
 
+def test_subgraph_stats_rejects_blocked_outside_range():
+    # Negative control: a blocked count is a subset size of Y.
+    census.SubgraphStats(vertices=3, blocked=(("x1", 0), ("x1^-1", 3)))
+    for bad in (4, -1):
+        with pytest.raises(AssertionError):
+            census.SubgraphStats(vertices=3, blocked=(("x1", 1), ("x1^-1", bad)))
+
+
 def test_handshake_identity_all_gensets():
     # degree_sum + cheeger == 2 * m * vertices, exactly, always.
     gensets = [

@@ -119,16 +119,6 @@ def test_pmap_pool_no_larger_than_items(monkeypatch):
     assert sizes == [2, 2]
 
 
-def test_trunc_flag(tmp_path):
-    base = ["isolated", "--n", "6", "--k", "2", "--mode", "dp"]
-    _, plain = run(base, tmp_path, "p")
-    rc, wide = run(base + ["--trunc", "40"], tmp_path, "w")
-    assert rc == 0
-    # A wider series order reads the same coefficients.
-    assert plain == wide
-    assert cli.main(base + ["--trunc", "3"]) == 3
-
-
 def test_density_csv_golden_row(tmp_path):
     rc, text = run(
         ["density", "--n", "2", "--k", "1", "--genset", "symmetric"], tmp_path
@@ -186,7 +176,7 @@ def test_density_row_counts_once(monkeypatch, mode, trunc, walks, orders):
 
 
 def test_isolated_table_builds_one_series(monkeypatch, tmp_path):
-    # Without --trunc every row reads the series at the largest n.
+    # Every row reads the series at the largest n.
     real = census.count_series
     orders = []
 
@@ -256,14 +246,6 @@ def test_large_n_refused_by_cap(capsys):
     assert cli.main(argv) == 2
     assert time.monotonic() - t0 < 10
     assert "exceeds enumeration cap" in capsys.readouterr().err
-
-
-def test_density_dp_trunc_keeps_bytes(tmp_path):
-    base = ["density", "--mode", "dp", "--n", "10", "--k", "3"]
-    _, plain = run(base, tmp_path, "p")
-    rc, wide = run(base + ["--trunc", "40"], tmp_path, "w")
-    assert rc == 0
-    assert plain == wide and plain
 
 
 def test_density_custom_genset(tmp_path):
@@ -401,12 +383,21 @@ def test_embed_verify_list_bytes_pinned(capsys, fmt):
     assert listed == sorted(listed)
 
 
-def test_exit_codes():
+def test_exit_codes(capsys):
     assert cli.main(["density", "--k", "1"]) == 3  # missing --n/--nmax
     assert cli.main(["density", "--n", "2", "--nmax", "3", "--k", "1"]) == 3
     assert cli.main(["enumerate", "--n", "20", "--k", "6", "--cap", "10"]) == 2
     assert cli.main(["nonsense"]) == 3
     assert cli.main(["density", "--n", "2", "--k", "1", "--genset", "custom:"]) == 3
+    capsys.readouterr()
+    assert cli.main(["theorem1", "--kmax", "0"]) == 3
+    assert "--kmax must be at least 1" in capsys.readouterr().err
+    assert cli.main(["density", "--nmax", "0", "--k", "1"]) == 3
+    assert "--nmax must be at least 1" in capsys.readouterr().err
+    # The series order is the table's largest n; no option sets it.
+    assert cli.main(["density", "--n", "6", "--k", "2", "--trunc", "40"]) == 3
+    argv = ["isolated", "--n", "6", "--k", "2", "--mode", "dp", "--trunc", "40"]
+    assert cli.main(argv) == 3
 
 
 def test_thread_count_does_not_change_bytes(tmp_path):
