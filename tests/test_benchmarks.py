@@ -32,6 +32,24 @@ def _table_row(lines, marker, offset):
     return dict(zip(columns, lines[header + offset].split()))
 
 
+def test_bench_census_runs():
+    # The census layer of bench_layers.py walks B(n, 3) for n = 4..8; the
+    # other layers run at their smallest sizes.
+    out = _run_bench(
+        "bench_layers.py",
+        [
+            "--n", "1", "--k", "0", "--kmax", "1", "--census", "8:3",
+            "--series", "1:1", "--repeats", "1",
+        ],
+    )
+    lines = out.splitlines()
+    for offset, n in enumerate(range(4, 9), start=1):
+        row = _table_row(lines, "walk (s)", offset)
+        assert (row["n"], row["k"], row["|B(n,k)|"]) == (
+            str(n), "3", str(count_bb(n, 3))
+        )
+
+
 def test_bench_layers_runs():
     # kmax 50 passes theorem1's witness k = 48.
     out = _run_bench(
