@@ -21,7 +21,8 @@ within the doubling bound of theorem2.
 census: for --census N:K, the walk census._walk on the exact-height table
 _height_table(n, K) for each n in [N-4, N], in seconds (minimum over the
 repeats) and forests per second.  Every walk total must equal |B(n, K)|,
-and the walk's tallies must equal census_counts(n, K, "dp").
+and the walk's tallies and per-label blocked counts must equal those the
+series read count_series(K, n).at(n) gives.
 
 series: for each N:K in --series, the three steps of count_series(K, N),
 each repeat starting from empty _phi_chain and count_series caches:
@@ -109,12 +110,12 @@ def bench_census(n: int, k: int, repeats: int) -> None:
         best = float("inf")
         for _ in range(repeats):
             t0 = time.perf_counter()
-            out = census._walk(nn, k, table)
+            tallies, blocked, _ = census._walk(nn, k, table)
             best = min(best, time.perf_counter() - t0)
-        total = out[0]
+        total = tallies.total
         assert total == forests.count_bb(nn, k), "walk total != |B(n,k)|"
-        walked = census.CensusCounts(nn, k, "enumerate", *out[:7])
-        assert walked == census.census_counts(nn, k, "dp"), "walk != dp"
+        dp = series.count_series(k, nn).at(nn)
+        assert tallies == dp and blocked == dp.per_label_blocked(), "walk != dp"
         _print_row([nn, k, total, f"{best:.4f}", f"{total / best:.3g}"])
 
 

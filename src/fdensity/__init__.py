@@ -47,7 +47,6 @@ from .forests import (
     apply,
     apply_within,
     apply_word,
-    base_forest,
     count_bb,
     decode_forest,
     encode_forest,
@@ -55,7 +54,7 @@ from .forests import (
     is_isolated,
     iter_bb,
 )
-from .series import TruncatedSeries, catalan, count_series, phi, psi
+from .series import TruncatedSeries, catalan, count_series, phi
 from .intervals import (
     DEFAULT_TOL,
     CertifiedInterval,
@@ -95,7 +94,6 @@ __all__ = [
     "apply_within",
     "apply_word",
     "ball",
-    "base_forest",
     "by_name",
     "catalan",
     "census_counts",
@@ -122,7 +120,6 @@ __all__ = [
     "phi",
     "phi_at",
     "presentation_checks",
-    "psi",
     "sigma",
     "sphere_sizes",
     "stats_elements",

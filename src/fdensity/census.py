@@ -16,7 +16,7 @@ since some Cayley neighbours of B(n, k) are not n-leaf marked forests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Collection, Iterable, Mapping, Optional
 
@@ -40,7 +40,7 @@ from .group import (
     multiply,
     normalize,
 )
-from .series import count_series
+from .series import CensusTallies, count_series
 
 DEFAULT_CAP = 10**8
 EMBED_N_CAP = 12
@@ -66,7 +66,9 @@ def _height_table(n: int, k: int) -> list[list[int]]:
     ]
 
 
-def _walk(n: int, k: int, table: list[list[int]]) -> tuple[int, ...]:
+def _walk(
+    n: int, k: int, table: list[list[int]]
+) -> tuple[CensusTallies, dict[str, int], int]:
     """Exhaustive tallies over B(n, k), one visit per height profile.
 
     A forest is visited as (tree_1 ... tree_m, mark): the walk chooses,
@@ -79,10 +81,15 @@ def _walk(n: int, k: int, table: list[list[int]]) -> tuple[int, ...]:
     product of the table[l][h] entries along the way), instead of once
     per concrete tree shape.
 
-    Returns (total, trivial_marked, marked_leftmost, marked_rightmost,
-    x1inv_blocked, x1barinv_blocked, isolated, sequences); `sequences`
-    counts unmarked tree sequences, `total` equals |B(n, k)|.
+    Returns (tallies, blocked, sequences): the four tallies; the blocked
+    count of each of the six action labels, each tallied from its own
+    definition (x1^-1: mark on the last tree, or the marked tree or its
+    right neighbour of height k; x1bar^-1 the same on the left), so that
+    census_counts can check them against the tallies; and the number of
+    unmarked tree sequences.
     """
+    # total, trivial, mark first, mark last, x1^-1 blocked,
+    # x1bar^-1 blocked, isolated
     acc = [0] * 7
     hs = [0] * n
     sequences = 0
@@ -120,27 +127,31 @@ def _walk(n: int, k: int, table: list[list[int]]) -> tuple[int, ...]:
                 rec(rem - l, m + 1, w * cnt)
 
     rec(n, 0, 1)
-    return (*acc, sequences)
+    total, trivial, first, last, right_b, left_b, isolated = acc
+    tallies = CensusTallies(total=total, trivial=trivial, edge=first, isolated=isolated)
+    blocked = {
+        "x0": first,
+        "x0^-1": last,
+        "x1": trivial,
+        "x1^-1": right_b,
+        "x1bar": trivial,
+        "x1bar^-1": left_b,
+    }
+    return tallies, blocked, sequences
 
 
 _FOREST_GENSETS = ("standard", "symmetric", "extended")
 
 
 @dataclass(frozen=True)
-class CensusCounts:
-    """Exact tallies over B(n, k), from either route, and what they give:
-    the forest-model statistics, those of B'(n, k), and the doubling bound."""
+class CensusCounts(CensusTallies):
+    """The tallies over B(n, k) (CensusTallies), from either route, and what
+    they give: the forest-model statistics, those of B'(n, k), and the
+    doubling bound."""
 
     n: int
     k: int
     mode: str = field(compare=False)
-    total: int
-    trivial: int
-    leftmost: int
-    rightmost: int
-    x1inv_blocked: int
-    x1barinv_blocked: int
-    isolated: int
 
     def stats(self, genset: GenSetSpec) -> "SubgraphStats":
         """Induced-subgraph statistics of B(n, k) under a named generating set."""
@@ -149,17 +160,11 @@ class CensusCounts:
                 f"forest-model statistics support gensets {_FOREST_GENSETS}, "
                 f"not {genset.name!r}"
             )
-        blocked_by_label = {
-            "x0": self.leftmost,
-            "x0^-1": self.rightmost,
-            "x1": self.trivial,
-            "x1^-1": self.x1inv_blocked,
-            "x1bar": self.trivial,
-            "x1bar^-1": self.x1barinv_blocked,
-        }
-        labels = [label for label, _ in genset.signed()]
-        blocked = tuple((label, blocked_by_label[label]) for label in labels)
-        return SubgraphStats(vertices=self.total, blocked=blocked)
+        blocked = self.per_label_blocked()
+        return SubgraphStats(
+            vertices=self.total,
+            blocked=tuple((label, blocked[label]) for label, _ in genset.signed()),
+        )
 
     def bprime(self) -> "SubgraphStats":
         """Statistics of B'(n, k): B(n, k) minus its isolated vertices.
@@ -186,20 +191,20 @@ class CensusCounts:
         Every boundary vertex v keeps an edge back into Y, and mapping v to
         that endpoint is injective per label.  Category counts:
 
-          v = u*x0 or u*x0^-1   (mark at an end)        <= leftmost + rightmost
+          v = u*x0 or u*x0^-1   (mark at an end)        <= 2 * edge
           v = u*x1 or u*x1bar   (marked tree trivial)   <= 2 * trivial
           v = u*x1^-1           (blocked merge right)   <= trivial, exactly the
                                 blocked-merge count; every height-blocked
                                 x1bar^-1 target also arises this way, since
                                 splitting its k+1 caret the other way lands
                                 back in Y
-          v = u*x1bar^-1, u leftmost-marked (no left
-                                neighbour to merge)     <= leftmost
+          v = u*x1bar^-1, u marked on the first tree (no
+                                left neighbour to merge) <= edge
 
-        Total: 3*trivial + 2*leftmost + rightmost.  Since leftmost and
-        rightmost are o(|B(n,k)|), the ratio tends to 3 xi_k.
+        Total: 3*trivial + 3*edge.  Since edge is o(|B(n,k)|), the ratio
+        tends to 3 xi_k.
         """
-        return 3 * self.trivial + 2 * self.leftmost + self.rightmost
+        return 3 * self.trivial + 3 * self.edge
 
 
 def census_counts(
@@ -209,10 +214,12 @@ def census_counts(
     cap: int = DEFAULT_CAP,
     trunc: Optional[int] = None,
 ) -> CensusCounts:
-    """Blocked/trivial/isolated tallies over B(n, k) by the chosen route.
+    """The tallies over B(n, k) by the chosen route.
 
-    trunc overrides the dp series order (default n; larger values give the
-    same coefficients, the prefix of a truncated product is stable).
+    The enumerate route also checks the walk's blocked count of every
+    action label against the tallies (the series identities).  trunc
+    overrides the dp series order (default n; larger values give the same
+    coefficients, the prefix of a truncated product is stable).
     """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
@@ -226,21 +233,22 @@ def census_counts(
         return a
     if mode == "enumerate":
         estimate = _count_bb_within_cap(n, k, cap)
-        (total, trivial, leftmost, rightmost, right_b, left_b, iso, seqs) = _walk(
-            n, k, _height_table(n, k)
-        )
-        if total != estimate or seqs != _seq_counts(n, k)[0]:
+        tallies, blocked, seqs = _walk(n, k, _height_table(n, k))
+        if tallies.total != estimate or seqs != _seq_counts(n, k)[0]:
             raise AssertionError(
                 f"census walk counts disagree with recursion at n={n} k={k}"
             )
-        return CensusCounts(
-            n, k, "enumerate", total, trivial, leftmost, rightmost, right_b, left_b, iso
-        )
-    if mode == "dp":
-        return CensusCounts(
-            n, k, "dp", *count_series(k, n if trunc is None else trunc).at(n)
-        )
-    raise ValueError(f"unknown mode {mode!r}")
+        expected = tallies.per_label_blocked()
+        if blocked != expected:
+            raise AssertionError(
+                f"census walk breaks the blocked-count identities at n={n} "
+                f"k={k}: walked {blocked}, tallies give {expected}"
+            )
+    elif mode == "dp":
+        tallies = count_series(k, n if trunc is None else trunc).at(n)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return CensusCounts(n=n, k=k, mode=mode, **asdict(tallies))
 
 
 # ---------------------------------------------------------------------------

@@ -562,7 +562,7 @@ def _isolated_row(job: tuple) -> dict:
         "k": k,
         "beta": counts.total,
         "trivial_marked": counts.trivial,
-        "x1inv_blocked": counts.x1inv_blocked,
+        "x1inv_blocked": counts.trivial,
         "isolated": counts.isolated,
         "provenance": _PROVENANCE[mode],
     }

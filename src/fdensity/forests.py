@@ -183,11 +183,6 @@ def decode_forest(text: str) -> MarkedForest:
     return MarkedForest(tuple(trees), mark)
 
 
-def base_forest(n: int) -> MarkedForest:
-    """n trivial trees, leftmost marked; embeds to the identity of F."""
-    return MarkedForest((LEAF,) * n, 0)
-
-
 def apply(label: str, f: MarkedForest) -> Optional[MarkedForest]:
     """The partial action of one signed generator; None where undefined."""
     ts, m = f.trees, f.mark

@@ -121,9 +121,6 @@ class NormalForm(NamedTuple):
     def is_identity(self) -> bool:
         return not self.pos and not self.neg
 
-    def word_length(self) -> int:
-        return len(self.pos) + len(self.neg)
-
     def __str__(self) -> str:
         return format_nf(self)
 

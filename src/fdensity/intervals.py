@@ -63,9 +63,6 @@ class CertifiedInterval:
     def __contains__(self, x) -> bool:
         return self.lo <= Fraction(x) <= self.hi
 
-    def encloses(self, other: "CertifiedInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def __add__(self, other) -> "CertifiedInterval":
         o = _coerce(other)
         return CertifiedInterval(self.lo + o.lo, self.hi + o.hi)

@@ -5,21 +5,31 @@ Phi_0 = z and Phi_k = z + Phi_{k-1}^2.  The marked-forest counting series
 
     Psi_k(z) = Phi_k / (1 - Phi_k)^2
 
-has [z^n] Psi_k = |B(n, k)|.  Every per-label count over B(n, k) is a
-coefficient of G, G^2 or S^2, where
+has [z^n] Psi_k = |B(n, k)|.  Every count over B(n, k) is a coefficient
+of G, G^2 or S^2, where
 
     G = 1 / (1 - Phi_k)    and    S = (1 - Phi_{k-1}) G,
 
 with Phi_{-1} = 0, so k = 0 works uniformly.  Phi_k G = G - 1 and
-Phi_k - Phi_{k-1}^2 = z give (see count_series)
+Phi_k - Phi_{k-1}^2 = z give four independent tallies (CensusTallies,
+read by CountSeriesFamily.at; see count_series):
 
-    total            = G^2 - G        (= Psi_k)
-    trivial_marked   = z G^2
-    marked_leftmost  = marked_rightmost = G - 1
-    x1inv_blocked    = x1barinv_blocked = z G^2
-    isolated         = z S^2
+    total     all marked forests                        G^2 - G  (= Psi_k)
+    trivial   marked tree a single leaf                 z G^2
+    edge      mark on the first tree                    G - 1
+    isolated  all four symmetric-set labels blocked     z S^2
 
-so one [z^n] read is a dot product of two prefixes, not a series product.
+so each tally is one [z^n] read, a dot product of two prefixes, not a
+series product.  The blocked count of each of the six action labels is
+one of them (CensusTallies.per_label_blocked): x0 is blocked exactly on
+`edge`, x1 and x1bar exactly on `trivial`, and three more labels equal a
+tally by an identity of the series, coefficient for coefficient:
+
+    x0^-1     mark on the last tree                     = edge     (mirror)
+    x1^-1     no merge with the right neighbour         = trivial
+    x1bar^-1  no merge with the left neighbour          = trivial
+
+The census walk tallies all six labels and checks the three identities.
 
 Support bound: Phi_k has no term above z^(2^k) (a tree of height <= k has
 at most 2^k leaves).  square() and geometric() clip their dot products to
@@ -162,18 +172,37 @@ def phi(k: int, trunc: int) -> TruncatedSeries:
     return chain[k]
 
 
-@lru_cache(maxsize=None)
-def psi(k: int, trunc: int) -> TruncatedSeries:
-    """Psi_k = Phi_k/(1-Phi_k)^2; [z^n] = |B(n, k)|."""
-    p = phi(k, trunc)
-    return p * p.geometric().square()
-
-
 def _conv(a: tuple, b: tuple, m: int) -> int:
     """[z^m] of the product of the series with coefficients a and b."""
     if m < 0:
         return 0
     return sum(map(mul, a[: m + 1], b[m::-1]))
+
+
+# The tally equal to each action label's blocked count: by definition for
+# x0, x1 and x1bar, by the identities of the module docstring for the rest.
+_LABEL_TALLY = {
+    "x0": "edge",
+    "x0^-1": "edge",
+    "x1": "trivial",
+    "x1^-1": "trivial",
+    "x1bar": "trivial",
+    "x1bar^-1": "trivial",
+}
+
+
+@dataclass(frozen=True)
+class CensusTallies:
+    """The independent exact tallies over B(n, k) (module docstring)."""
+
+    total: int
+    trivial: int
+    edge: int
+    isolated: int
+
+    def per_label_blocked(self) -> dict[str, int]:
+        """The blocked count of each action label, read from its tally."""
+        return {label: getattr(self, name) for label, name in _LABEL_TALLY.items()}
 
 
 @dataclass(frozen=True)
@@ -190,35 +219,18 @@ class CountSeriesFamily:
     g: TruncatedSeries
     side: TruncatedSeries
 
-    def at(self, n: int) -> tuple[int, int, int, int, int, int, int]:
-        """[z^n] of (total, trivial_marked, marked_leftmost,
-        marked_rightmost, x1inv_blocked, x1barinv_blocked, isolated):
-
-        total:            all marked forests, G^2 - G (= Psi_k)
-        trivial_marked:   marked tree is a single leaf (x1 and x1bar
-                          blocked), z G^2
-        marked_leftmost:  mark on the first tree (x0 blocked), G - 1
-        marked_rightmost: mark on the last tree (x0^-1 blocked), G - 1
-        x1inv_blocked:    merge with right neighbour impossible within
-                          height k, z G^2
-        x1barinv_blocked: merge with left neighbour impossible within
-                          height k, z G^2
-        isolated:         all four symmetric-set labels blocked, z S^2
-        """
+    def at(self, n: int) -> CensusTallies:
+        """The tallies over B(n, k) as [z^n] reads: total = G^2 - G,
+        trivial = z G^2, edge = G - 1 and isolated = z S^2."""
         if not 0 <= n <= self.g.trunc:
             raise ValueError(f"[z^{n}] is outside the series order {self.g.trunc}")
         g = self.g.coeffs
         s = self.side.coeffs
-        edge = g[n] - (n == 0)
-        trivial = _conv(g, g, n - 1)
-        return (
-            _conv(g, g, n) - g[n],
-            trivial,
-            edge,
-            edge,
-            trivial,
-            trivial,
-            _conv(s, s, n - 1),
+        return CensusTallies(
+            total=_conv(g, g, n) - g[n],
+            trivial=_conv(g, g, n - 1),
+            edge=g[n] - (n == 0),
+            isolated=_conv(s, s, n - 1),
         )
 
 
@@ -230,29 +242,17 @@ def count_series(k: int, trunc: int) -> CountSeriesFamily:
     of the two trees involved has height exactly k; trees of height exactly
     k are counted by Phi_k - Phi_{k-1}.  By inclusion-exclusion
 
-        x1inv_blocked = Phi_k G + (Phi_k^2 - Phi_{k-1}^2) G^2
+        x1^-1 blocked = Phi_k G + (Phi_k^2 - Phi_{k-1}^2) G^2
         isolated      = z (1 + (Phi_k - Phi_{k-1}) G)^2
-        total         = Phi_k G^2,  marked_leftmost = Phi_k G.
+        total         = Phi_k G^2,  edge = Phi_k G.
 
     Phi_k G = G - 1 and Phi_{k-1}^2 = Phi_k - z reduce these to the forms
-    in CountSeriesFamily.at: the blocked series equal z G^2 = trivial_marked
-    coefficientwise, which realises the per-label boundary balance exactly
-    rather than just asymptotically.
+    in CountSeriesFamily.at: the x1^-1 series, and its mirror x1bar^-1,
+    equal z G^2 = trivial coefficientwise, which realises the per-label
+    boundary balance exactly rather than just asymptotically.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     g = phi(k, trunc).geometric()
     side = g - phi(k - 1, trunc) * g
     return CountSeriesFamily(g=g, side=side)
-
-
-def catalan_series_check(trunc: int) -> bool:
-    """Does C(z) = sum c_n z^(n+1) satisfy C = z + C^2 through z^trunc?"""
-    c = TruncatedSeries([0] + [catalan(n) for n in range(trunc)])
-    return c == z(trunc) + c.square()
-
-
-def catalan_prefix_holds(k: int, trunc: int | None = None) -> bool:
-    """[z^(n+1)] Phi_k = c_n for n <= k (trees of <= k+1 leaves are short)."""
-    p = phi(k, trunc if trunc is not None else k + 1)
-    return all(p[n + 1] == catalan(n) for n in range(0, min(k, p.trunc - 1) + 1))

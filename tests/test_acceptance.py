@@ -7,6 +7,7 @@ in the assertions; exact claims use exact integer/rational comparison.
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from math import isqrt
 
@@ -77,6 +78,9 @@ def test_c02_dual_path_exactness():
 def test_c03_per_label_pairing():
     t0 = time.monotonic()
     ok = True
+    # On this grid the pairing of x0, x1 and x1bar is also the enumerate
+    # route's own check: census_counts refuses a walk whose per-label
+    # blocked counts break the series identities.
     for n in range(1, GRID_N + 1):
         for k in range(0, GRID_K + 1):
             for gs in GENSETS.values():
@@ -108,18 +112,33 @@ def test_c04_small_case_goldens():
     ok = forests.count_bb(3, 1) == 7
     st = census.census_counts(2, 1).stats(GENSETS["symmetric"])
     ok = ok and st.density == F(4, 3) and st.cheeger_total == 8
-    identity_cells = 0
+    identity_cells = edge_cells = 0
     for n in range(1, 13):
         for k in range(0, GRID_K + 1):
+            # The degree sum counted in the object model: (forest, label)
+            # pairs whose action stays inside B(n, k).
+            within = None
+            if n <= 9:
+                within = Counter(
+                    label
+                    for f in forests.iter_bb(n, k)
+                    for label in forests.ACTION_LABELS
+                    if forests.apply_within(label, f, k) is not None
+                )
             for gs in GENSETS.values():
                 s = census.census_counts(n, k).stats(gs)
                 lhs = s.density + F(s.cheeger_total, s.vertices)
                 ok = ok and lhs == 2 * s.m
                 identity_cells += 1
+                if within is not None:
+                    edges = sum(within[lbl] for lbl, _ in gs.signed())
+                    ok = ok and s.degree_sum == edges
+                    edge_cells += 1
     assert _report(
         "C4 small-case-goldens",
         ok,
-        f"beta(3,1)=7, B(2,1) sym 4/3 & 8, handshake identity x{identity_cells}",
+        f"beta(3,1)=7, B(2,1) sym 4/3 & 8, handshake identity x{identity_cells}, "
+        f"object-model degree sum x{edge_cells}",
         t0,
     )
 
@@ -142,7 +161,13 @@ def test_c05_xi_certification():
     quarter_ok = all(
         intervals.phi_at(k, F(1, 4)).hi < F(1, 2) for k in range(0, 201)
     )
-    catalan_ok = all(series.catalan_prefix_holds(k, k + 2) for k in range(0, 13))
+    # Phi_k agrees with the Catalan numbers through z^(k+1): trees with at
+    # most k+1 leaves have height at most k.
+    catalan_ok = all(
+        series.phi(k, k + 2)[n + 1] == series.catalan(n)
+        for k in range(0, 13)
+        for n in range(k + 1)
+    )
     ok = ok and quarter_ok and catalan_ok and (time.monotonic() - t0) < 60.0
     assert _report(
         "C5 xi-certification",

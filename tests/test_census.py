@@ -1,6 +1,7 @@
 """Census statistics, the embedding oracle, and the doubling bound."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -32,16 +33,13 @@ def test_census_counts_rule_based_oracle():
             c = census.census_counts(n, k)
             members = forests.enumerate_bb(n, k)
             assert c.trivial == sum(1 for f in members if f.trees[f.mark] is None)
-            assert c.leftmost == sum(1 for f in members if f.mark == 0)
-            assert c.rightmost == sum(
-                1 for f in members if f.mark == len(f.trees) - 1
-            )
-            assert c.x1inv_blocked == sum(
-                1 for f in members if forests.apply_within("x1^-1", f, k) is None
-            )
-            assert c.x1barinv_blocked == sum(
-                1 for f in members if forests.apply_within("x1bar^-1", f, k) is None
-            )
+            assert c.edge == sum(1 for f in members if f.mark == 0)
+            assert c.per_label_blocked() == {
+                label: sum(
+                    1 for f in members if forests.apply_within(label, f, k) is None
+                )
+                for label in forests.ACTION_LABELS
+            }
             assert c.isolated == sum(
                 1 for f in members if forests.is_isolated(f, k)
             )
@@ -64,7 +62,8 @@ def test_subgraph_stats_rejects_blocked_outside_range():
 
 
 def test_handshake_identity_all_gensets():
-    # degree_sum + cheeger == 2 * m * vertices, exactly, always.
+    # The degree sum is the number of (forest, signed label) pairs whose
+    # action stays inside B(n, k), counted in the object model.
     gensets = [
         group.GenSetSpec.standard(),
         group.GenSetSpec.symmetric(),
@@ -72,9 +71,15 @@ def test_handshake_identity_all_gensets():
     ]
     for n in range(1, 10):
         for k in range(0, 4):
+            within = Counter(
+                label
+                for f in forests.iter_bb(n, k)
+                for label in forests.ACTION_LABELS
+                if forests.apply_within(label, f, k) is not None
+            )
             for gs in gensets:
                 st = census.census_counts(n, k).stats(gs)
-                assert st.degree_sum + st.cheeger_total == 2 * st.m * st.vertices
+                assert st.degree_sum == sum(within[lbl] for lbl, _ in gs.signed())
 
 
 def test_per_label_boundary_pairing():
@@ -289,7 +294,10 @@ def test_stats_elements_on_ball():
     elements = set(group.ball(gs, 2))
     st = census.stats_elements(elements, gs)
     assert st.vertices == 17
-    assert st.degree_sum + st.cheeger_total == 2 * 2 * 17
+    # y -> y*a maps the a-edges inside Y onto the a^-1-edges inside Y.
+    internal = dict(st.internal)
+    for lbl, _ in gs.gens:
+        assert internal[lbl] == internal[lbl + "^-1"]
     with pytest.raises(ValueError):
         census.stats_elements(set(), gs)
 

@@ -108,45 +108,59 @@ def test_phi_counts_trees_by_exact_height_cumulative():
             assert p[n] == expected
 
 
+def _psi(k, trunc):
+    """Psi_k = Phi_k/(1-Phi_k)^2, whose [z^n] is |B(n, k)|."""
+    p = series.phi(k, trunc)
+    return p * p.geometric().square()
+
+
 def test_psi_counts_bb():
-    assert [series.psi(1, 7)[n] for n in range(7)] == [0, 1, 3, 7, 15, 30, 58]
+    assert [_psi(1, 7)[n] for n in range(7)] == [0, 1, 3, 7, 15, 30, 58]
     for k in range(0, 5):
-        p = series.psi(k, 10)
+        p = _psi(k, 10)
         for n in range(1, 10):
             assert p[n] == forests.count_bb(n, k)
 
 
 def test_catalan_series_identity():
-    assert series.catalan_series_check(16)
+    # C(z) = sum c_n z^(n+1) satisfies C = z + C^2.
+    c = series.TruncatedSeries([0] + [series.catalan(n) for n in range(16)])
+    assert c == series.z(16) + c.square()
     assert [series.catalan(n) for n in range(7)] == [1, 1, 2, 5, 14, 42, 132]
 
 
 def test_catalan_prefix_of_phi():
-    # Phi_k agrees with the Catalan series through degree k+1.
+    # Phi_k agrees with the Catalan series through degree k+1: trees with
+    # at most k+1 leaves have height at most k.
     for k in range(0, 13):
-        assert series.catalan_prefix_holds(k, k + 2)
+        p = series.phi(k, k + 2)
+        assert [p[n + 1] for n in range(k + 1)] == [
+            series.catalan(n) for n in range(k + 1)
+        ]
 
 
 def _inclusion_exclusion_family(k, trunc):
-    """The blocked-count series by inclusion-exclusion, built product by
-    product from Phi_k and Phi_{k-1}: an oracle independent of the
-    G/S reduction in count_series."""
+    """The total, isolated and per-label blocked-count series by
+    inclusion-exclusion, built product by product from Phi_k and
+    Phi_{k-1}: an oracle independent of the G/S reduction in
+    count_series."""
     p = series.phi(k, trunc)
     pprev = series.phi(k - 1, trunc)
     g = p.geometric()
     zs = series.z(trunc)
     edge = p * g
-    blocked = edge + (p * p - pprev * pprev) * g * g
+    merge = edge + (p * p - pprev * pprev) * g * g
     side = series.one(trunc) + (p - pprev) * g
-    return (
-        p * g * g,
-        zs * g * g,
-        edge,
-        edge,
-        blocked,
-        blocked,
-        side * zs * side,
-    )
+    return {
+        "total": p * g * g,
+        "isolated": side * zs * side,
+        "x0": edge,
+        "x0^-1": edge,
+        "x1": zs * g * g,
+        "x1^-1": merge,
+        "x1bar": zs * g * g,
+        "x1bar^-1": merge,
+    }
 
 
 def test_count_series_matches_inclusion_exclusion():
@@ -154,7 +168,9 @@ def test_count_series_matches_inclusion_exclusion():
         fam = series.count_series(k, 30)
         oracle = _inclusion_exclusion_family(k, 30)
         for n in range(0, 31):
-            assert fam.at(n) == tuple(s[n] for s in oracle), (k, n)
+            t = fam.at(n)
+            read = {"total": t.total, "isolated": t.isolated, **t.per_label_blocked()}
+            assert read == {name: s[n] for name, s in oracle.items()}, (k, n)
 
 
 def test_count_series_at_rejects_out_of_order():
@@ -167,32 +183,28 @@ def test_count_series_family_identities():
     for k in range(0, 6):
         fam = series.count_series(k, 12)
         for n in range(13):
-            (total, trivial, left, right, x1inv, x1barinv, _) = fam.at(n)
-            assert total == series.psi(k, 12)[n]
-            # Blocked x1^-1 boundary equals trivial-marked boundary termwise.
-            assert x1inv == trivial
-            assert x1barinv == trivial
-            assert left == right
+            # G^2 - G = Psi_k; the per-label identities are checked against
+            # the inclusion-exclusion oracle above.
+            assert fam.at(n).total == _psi(k, 12)[n]
 
 
 def test_count_series_k0_everything_isolated():
     fam = series.count_series(0, 9)
     for n in range(1, 9):
-        (total, *_, isolated) = fam.at(n)
-        assert isolated == n
-        assert total == n
+        assert fam.at(n).isolated == n
+        assert fam.at(n).total == n
 
 
 def test_count_series_matches_enumeration():
     for k in range(0, 4):
         fam = series.count_series(k, 9)
         for n in range(1, 9):
-            (total, trivial, left, _, _, _, isolated) = fam.at(n)
+            t = fam.at(n)
             members = forests.enumerate_bb(n, k)
-            assert total == len(members)
-            assert isolated == sum(1 for f in members if forests.is_isolated(f, k))
-            assert trivial == sum(1 for f in members if f.trees[f.mark] is None)
-            assert left == sum(1 for f in members if f.mark == 0)
+            assert t.total == len(members)
+            assert t.isolated == sum(1 for f in members if forests.is_isolated(f, k))
+            assert t.trivial == sum(1 for f in members if f.trees[f.mark] is None)
+            assert t.edge == sum(1 for f in members if f.mark == 0)
 
 
 def _bump_g(monkeypatch, at=5):
