@@ -3,7 +3,8 @@
 Subcommands: group-verify, xi, density, theorem1, theorem2, embed-verify,
 enumerate, isolated.  Exit codes: 0 success / claims certified; 2 a claim
 could not be certified within budget; 3 invalid configuration or an
-unwritable --out; 4 internal assertion failure.
+unwritable --out; 4 any other (internal) fault, reported in one stderr
+line without a traceback.
 
 Output is byte-identical for a fixed configuration regardless of
 --threads: work is distributed over rows and merged in input order, and
@@ -81,63 +82,51 @@ def _pmap(fn: Callable, items: Sequence, threads: int) -> list:
 
 
 def _emit(
-    rows: list[dict],
-    columns: list[str],
-    meta: dict,
-    fmt: str,
-    out: Optional[str],
+    args: argparse.Namespace, command: str, rows: list[dict], columns: list[str], **meta
 ) -> None:
-    if fmt == "csv":
+    """Write the listed columns of rows ("NA" where a row has none) as CSV,
+    or as JSON under a config echo for reproducibility; the echo leaves out
+    the thread count and paths so identical configurations give identical
+    bytes."""
+    cells = [{c: row.get(c, "NA") for c in columns} for row in rows]
+    if args.format == "csv":
         buf = io.StringIO()
         w = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
         w.writeheader()
-        for row in rows:
-            w.writerow({c: row.get(c, "NA") for c in columns})
+        w.writerows(cells)
         text = buf.getvalue()
-    elif fmt == "json":
-        payload = {
-            "meta": meta,
-            "rows": [{c: row.get(c, "NA") for c in columns} for row in rows],
+    else:
+        config = {
+            key: (str(v) if isinstance(v, Fraction) else v)
+            for key, v in sorted(vars(args).items())
+            if key not in {"out", "threads", "func"} and v is not None
         }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        raise UsageError(f"unknown format {fmt!r}")
-    if out:
-        # Write beside the target and rename over it, so the file at out is
-        # either the old one or the whole new one, never a partial write.
-        tmp = f"{out}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "w") as fh:
-                fh.write(text)
-            os.replace(tmp, out)
-        except OSError as exc:
-            raise OutputError(
-                f"cannot write --out {out}: {exc.strerror or exc}"
-            ) from None
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    else:
+        meta = {
+            "version": __version__,
+            "command": command,
+            "decimal_places": DECIMAL_PLACES,
+            "config": config,
+            **meta,
+        }
+        text = json.dumps({"meta": meta, "rows": cells}, indent=2, sort_keys=True)
+        text += "\n"
+    if not args.out:
         sys.stdout.write(text)
-
-
-def _meta(args: argparse.Namespace, command: str, **extra) -> dict:
-    """Config echo for reproducibility; thread count and paths excluded so
-    identical configurations give identical bytes."""
-    skip = {"out", "threads", "func"}
-    config = {
-        key: (str(v) if isinstance(v, Fraction) else v)
-        for key, v in sorted(vars(args).items())
-        if key not in skip and v is not None
-    }
-    meta = {
-        "version": __version__,
-        "command": command,
-        "decimal_places": DECIMAL_PLACES,
-        "config": config,
-    }
-    meta.update(extra)
-    return meta
+        return
+    # Write beside the target and rename over it, so the file at out is
+    # either the old one or the whole new one, never a partial write.
+    tmp = f"{args.out}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, args.out)
+    except OSError as exc:
+        raise OutputError(
+            f"cannot write --out {args.out}: {exc.strerror or exc}"
+        ) from None
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +145,8 @@ def cmd_group_verify(args: argparse.Namespace) -> int:
         {"relation": name, "status": "pass" if ok else "FAIL", "provenance": TAG_NF}
         for name, ok in checks
     ]
-    meta = _meta(args, "group-verify", checks_total=len(rows))
-    _emit(rows, ["relation", "status", "provenance"], meta, args.format, args.out)
+    columns = ["relation", "status", "provenance"]
+    _emit(args, "group-verify", rows, columns, checks_total=len(rows))
     for name, ok in checks:
         if not ok:
             print(f"group-verify: FAILED relation: {name}", file=sys.stderr)
@@ -201,15 +190,16 @@ XI_COLUMNS = [
 
 
 def cmd_xi(args: argparse.Namespace) -> int:
-    jobs = [(k, args.tol) for k in range(0, args.kmax + 1)]
+    jobs = [(k, args.tol) for k in _range_from(None, args.kmax, "k")]
     rows = _pmap(_xi_row, jobs, args.threads)
-    meta = _meta(
+    _emit(
         args,
         "xi",
+        rows,
+        XI_COLUMNS,
         derived_columns="interval midpoints; certified enclosure width <= "
         "a few multiples of tol (xi endpoints rounded outward)",
     )
-    _emit(rows, XI_COLUMNS, meta, args.format, args.out)
     return 0
 
 
@@ -239,17 +229,15 @@ DENSITY_COLUMNS = [
 def _density_row(job: tuple) -> dict:
     n, k, genset_name, mode, cap, boundary, order = job
     genset = group.by_name(genset_name)
-    prov = _PROVENANCE[mode]
-    if genset.name == "custom":
-        emb = census.embed(n, k, cap=cap)
+    # A custom set is read on the embedded image, whose n <= 12 refusal
+    # comes before the census' own input checks.
+    emb = census.embed(n, k, cap=cap) if genset.name == "custom" else None
+    counts = census.census_counts(n, k, mode, cap, order)
+    if emb is None:
+        st, prov = counts.stats(genset), _PROVENANCE[mode]
+    else:
         st = census.stats_elements(emb.image(), genset, emb.blocked)
         prov = TAG_ENUM
-        counts = census.census_counts(
-            n, k, "dp" if mode == "dp" else "enumerate", cap, order
-        )
-    else:
-        counts = census.census_counts(n, k, mode, cap, order)
-        st = counts.stats(genset)
     row = {
         "n": n,
         "k": k,
@@ -281,31 +269,33 @@ def _density_row(job: tuple) -> dict:
 
 
 def cmd_density(args: argparse.Namespace) -> int:
-    ns = _range_from(args.n, args.nmax, "n")
-    ks = _range_from(args.k, args.kmax, "k")
-    # Every row reads the dp series at the table's largest n, so each k
-    # builds its series once (the coefficients do not depend on the order).
-    jobs = [
-        (n, k, args.genset, args.mode, args.cap, args.boundary, max(ns))
-        for n in ns
-        for k in ks
-    ]
+    jobs = _grid(args, args.genset, args.mode, args.cap, args.boundary)
     rows = _pmap(_density_row, jobs, args.threads)
-    meta = _meta(args, "density")
-    _emit(rows, DENSITY_COLUMNS, meta, args.format, args.out)
+    _emit(args, "density", rows, DENSITY_COLUMNS)
     return 0
 
 
 def _range_from(single: Optional[int], upto: Optional[int], name: str) -> list[int]:
+    """[--<name>] or the range up to --<name>max (n from 1, k from 0)."""
     if single is not None and upto is not None:
         raise UsageError(f"--{name} and --{name}max are mutually exclusive")
     if single is not None:
         return [single]
-    if upto is not None:
-        if name == "n" and upto < 1:
-            raise UsageError("--nmax must be at least 1")
-        return list(range(0 if name == "k" else 1, upto + 1))
-    raise UsageError(f"one of --{name} / --{name}max is required")
+    if upto is None:
+        raise UsageError(f"one of --{name} / --{name}max is required")
+    low = 1 if name == "n" else 0
+    if upto < low:
+        raise UsageError(f"--{name}max must be at least {low}")
+    return list(range(low, upto + 1))
+
+
+def _grid(args: argparse.Namespace, *fields) -> list[tuple]:
+    """Jobs (n, k, *fields, order) of a density or isolated table.  Every
+    row reads the dp series at the table's largest n, so each k builds its
+    series once (the coefficients do not depend on the order)."""
+    ns = _range_from(args.n, args.nmax, "n")
+    ks = _range_from(args.k, args.kmax, "k")
+    return [(n, k, *fields, max(ns)) for n in ns for k in ks]
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +343,11 @@ def cmd_theorem1(args: argparse.Namespace) -> int:
     sup_row = max(rows, key=lambda r: r["_bprime_lo"])
     swap_ok = all(r["p_inf_ge_xi3_over_4"] == "certified" for r in rows)
     cube_gap = abs(rows[-1]["_cube_mid"] - Fraction(1, 256))
-    meta = _meta(
+    _emit(
         args,
         "theorem1",
+        rows,
+        THEOREM1_COLUMNS,
         first_k_bprime_above_3=first_witness,
         sup_bprime_lo=_decimal(sup_row["_bprime_lo"], mode="floor"),
         sup_at_k=sup_row["k"],
@@ -363,10 +355,6 @@ def cmd_theorem1(args: argparse.Namespace) -> int:
         swap_bound_certified_all_k=swap_ok,
         xi3_over_4_gap_to_1_256=_decimal(cube_gap, mode="ceil"),
     )
-    for r in rows:
-        r.pop("_bprime_lo")
-        r.pop("_cube_mid")
-    _emit(rows, THEOREM1_COLUMNS, meta, args.format, args.out)
     if first_witness is None:
         print(
             f"theorem1: no k <= {args.kmax} certifies density(B') > 3", file=sys.stderr
@@ -427,11 +415,7 @@ THEOREM2_COLUMNS = [
 def cmd_theorem2(args: argparse.Namespace) -> int:
     jobs = [(k, args.tol) for k in range(1, args.kmax + 1)]
     rows = _pmap(_theorem2_row, jobs, args.threads)
-    k0 = None
-    for r in rows:
-        if r["below_1"] == "certified":
-            k0 = r["k"]
-            break
+    k0 = next((r["k"] for r in rows if r["below_1"] == "certified"), None)
     tail_ok = k0 is not None and all(
         r["below_1"] == "certified" for r in rows if r["k"] >= k0
     )
@@ -443,15 +427,16 @@ def cmd_theorem2(args: argparse.Namespace) -> int:
     check_rows = _pmap(_theorem2_check_row, check_jobs, args.threads)
     bounds_ok = all(r["within_bound"] == "yes" for r in check_rows)
     gap = abs((1 + 3 * intervals.xi(args.kmax, args.tol)).mid - Fraction(7, 4))
-    meta = _meta(
+    _emit(
         args,
         "theorem2",
+        rows + check_rows,
+        THEOREM2_COLUMNS,
         first_k_three_xi_below_1=k0,
         certified_for_all_larger_k=tail_ok,
         boundary_checks_pass=bounds_ok,
         one_plus_three_xi_gap_to_7_4=_decimal(gap, mode="ceil"),
     )
-    _emit(rows + check_rows, THEOREM2_COLUMNS, meta, args.format, args.out)
     if k0 is None or not tail_ok:
         print(f"theorem2: no certified k <= {args.kmax}", file=sys.stderr)
         return 2
@@ -481,42 +466,26 @@ def _embed_row(job: tuple[int, int, int]) -> dict:
     return _embed_summary(n, k, census.embed(n, k, cap=cap))
 
 
+EMBED_COLUMNS = ["n", "k", "forests", "distinct_elements", "status", "provenance"]
+
+
 def cmd_embed_verify(args: argparse.Namespace) -> int:
     if args.perturb:
         try:
             census.embed(3, 1, _moves=forests.moves_x1bar_as_x1)
         except census.EmbeddingError as exc:
-            rows = [
-                {
-                    "n": 3,
-                    "k": 1,
-                    "status": f"broken as expected: {exc}",
-                    "provenance": TAG_ENUM,
-                }
-            ]
-            _emit(
-                rows,
-                ["n", "k", "forests", "distinct_elements", "status", "provenance"],
-                _meta(args, "embed-verify", perturbed=True),
-                args.format,
-                args.out,
-            )
+            status = f"broken as expected: {exc}"
+            row = {"n": 3, "k": 1, "status": status, "provenance": TAG_ENUM}
+            _emit(args, "embed-verify", [row], EMBED_COLUMNS, perturbed=True)
             return 0
         print("embed-verify: perturbed action did NOT break", file=sys.stderr)
         return 4
-    if args.n is not None and args.k is not None:
-        pairs = [(args.n, args.k)]
-    else:
-        if args.list:
-            raise UsageError("--list requires explicit --n and --k")
-        pairs = [(n, k) for n in range(1, args.nmax + 1) for k in range(0, args.kmax + 1)]
-    columns = ["n", "k", "forests", "distinct_elements", "status", "provenance"]
     if args.list:
-        n, k = pairs[0]
+        if args.n is None or args.k is None:
+            raise UsageError("--list requires explicit --n and --k")
+        n, k = args.n, args.k
         emb = census.embed(n, k, cap=args.cap)
-        columns += ["forest", "element"]
-        rows = [_embed_summary(n, k, emb)]
-        rows += [
+        rows = [_embed_summary(n, k, emb)] + [
             {
                 "n": n,
                 "k": k,
@@ -528,9 +497,12 @@ def cmd_embed_verify(args: argparse.Namespace) -> int:
                 emb.assignment, key=lambda fe: forests.encode_forest(fe[0])
             )
         ]
-    else:
-        rows = _pmap(_embed_row, [(n, k, args.cap) for n, k in pairs], args.threads)
-    _emit(rows, columns, _meta(args, "embed-verify"), args.format, args.out)
+        _emit(args, "embed-verify", rows, EMBED_COLUMNS + ["forest", "element"])
+        return 0
+    ns = [args.n] if args.n is not None else range(1, args.nmax + 1)
+    ks = [args.k] if args.k is not None else range(0, args.kmax + 1)
+    jobs = [(n, k, args.cap) for n in ns for k in ks]
+    _emit(args, "embed-verify", _pmap(_embed_row, jobs, args.threads), EMBED_COLUMNS)
     return 0
 
 
@@ -549,8 +521,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         }
         for i, f in enumerate(items)
     ]
-    meta = _meta(args, "enumerate", count=len(items))
-    _emit(rows, ["index", "forest", "isolated", "provenance"], meta, args.format, args.out)
+    columns = ["index", "forest", "isolated", "provenance"]
+    _emit(args, "enumerate", rows, columns, count=len(items))
     return 0
 
 
@@ -569,12 +541,9 @@ def _isolated_row(job: tuple) -> dict:
 
 
 def cmd_isolated(args: argparse.Namespace) -> int:
-    ns = _range_from(args.n, args.nmax, "n")
-    ks = _range_from(args.k, args.kmax, "k")
-    jobs = [(n, k, args.mode, args.cap, max(ns)) for n in ns for k in ks]
-    rows = _pmap(_isolated_row, jobs, args.threads)
+    rows = _pmap(_isolated_row, _grid(args, args.mode, args.cap), args.threads)
     columns = ["n", "k", "beta", "trivial_marked", "x1inv_blocked", "isolated", "provenance"]
-    _emit(rows, columns, _meta(args, "isolated"), args.format, args.out)
+    _emit(args, "isolated", rows, columns)
     return 0
 
 
@@ -621,10 +590,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_xi)
 
     p = sub.add_parser("density", help="exact B(n,k) statistics")
-    p.add_argument("--n", type=int)
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--kmax", type=int)
+    for flag in ("--n", "--nmax", "--k", "--kmax"):
+        p.add_argument(flag, type=int)
     p.add_argument("--genset", default="standard",
                    help="standard|symmetric|extended|custom:<words>")
     p.add_argument("--mode", choices=("enumerate", "dp", "both"), default="enumerate")
@@ -665,10 +632,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("isolated", help="exact count tables per (n,k)")
-    p.add_argument("--n", type=int)
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--kmax", type=int)
+    for flag in ("--n", "--nmax", "--k", "--kmax"):
+        p.add_argument(flag, type=int)
     p.add_argument("--mode", choices=("enumerate", "dp", "both"), default="enumerate")
     _add_common(p, "csv")
     p.set_defaults(func=cmd_isolated)
@@ -690,8 +655,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (CapExceeded, PrecisionExhausted) as exc:
         print(f"fdensity: not certified within budget: {exc}", file=sys.stderr)
         return 2
-    except (AssertionError, census.EmbeddingError) as exc:
-        print(f"fdensity: internal invariant violated: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"fdensity: internal invariant violated: {exc!r}", file=sys.stderr)
         return 4
 
 

@@ -324,6 +324,10 @@ def limit_fractions(
     phi_prev = phi_at(k - 1, x, precision=prec)
     pinf = x * (1 - phi_prev).squared()
     dsym = 4 - 4 * x
+    if (1 - pinf).lo <= 0:
+        raise PrecisionExhausted(
+            f"1 - p_inf at k = {k} is not bounded away from 0 at tol {tol}"
+        )
     return LimitFractions(
         k=k,
         xi=x,

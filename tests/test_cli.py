@@ -3,6 +3,9 @@
 import csv
 import hashlib
 import json
+import pathlib
+import re
+import shlex
 import time
 
 import pytest
@@ -144,17 +147,28 @@ def test_density_mode_dp_skips_boundary(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "mode, trunc, walks, orders",
+    "mode, trunc, walks, orders, genset",
     [
-        ("enumerate", None, 1, []),
-        ("both", None, 1, [10]),
-        ("both", 40, 1, [40]),
-        ("dp", None, 0, [10]),
-        ("dp", 40, 0, [40]),
+        ("enumerate", None, 1, [], "symmetric"),
+        ("both", None, 1, [10], "symmetric"),
+        ("both", 40, 1, [40], "symmetric"),
+        ("dp", None, 0, [10], "symmetric"),
+        ("dp", 40, 0, [40], "symmetric"),
+        ("both", None, 1, [10], "custom:x0,x1,x2"),
+    ],
+    # The symmetric cases keep the ids pytest generates for four arguments.
+    ids=[
+        "enumerate-None-1-orders0",
+        "both-None-1-orders1",
+        "both-40-1-orders2",
+        "dp-None-0-orders3",
+        "dp-40-0-orders4",
+        "custom-both-None-1-orders5",
     ],
 )
-def test_density_row_counts_once(monkeypatch, mode, trunc, walks, orders):
-    # One census per row: every column reads the same CensusCounts.
+def test_density_row_counts_once(monkeypatch, mode, trunc, walks, orders, genset):
+    # One census per row: every column reads the same CensusCounts, and a
+    # custom set's --mode both cross-checks the walk against the series too.
     walk, series = census._walk, census.count_series
     seen = {"walks": 0, "orders": []}
 
@@ -168,9 +182,7 @@ def test_density_row_counts_once(monkeypatch, mode, trunc, walks, orders):
 
     monkeypatch.setattr(census, "_walk", counting_walk)
     monkeypatch.setattr(census, "count_series", counting_series)
-    row = cli._density_row(
-        (10, 3, "symmetric", mode, census.DEFAULT_CAP, "never", trunc)
-    )
+    row = cli._density_row((10, 3, genset, mode, census.DEFAULT_CAP, "never", trunc))
     assert row["vertices"] == 11932
     assert seen == {"walks": walks, "orders": orders}
 
@@ -320,8 +332,20 @@ def test_embed_verify_and_controls(tmp_path):
     assert "broken as expected" in text
 
 
+def test_embed_verify_lone_index_fixes_it(tmp_path):
+    def pairs(argv):
+        rc, text = run(["embed-verify", "--format", "csv"] + argv, tmp_path)
+        assert rc == 0
+        return [(int(r["n"]), int(r["k"])) for r in csv.DictReader(text.splitlines())]
+
+    assert pairs(["--n", "3"]) == [(3, 0), (3, 1), (3, 2), (3, 3)]
+    assert pairs(["--k", "1", "--nmax", "4"]) == [(1, 1), (2, 1), (3, 1), (4, 1)]
+
+
 def test_embed_verify_list_requires_single_case(tmp_path):
     rc, _ = run(["embed-verify", "--list"], tmp_path)
+    assert rc == 3
+    rc, _ = run(["embed-verify", "--n", "3", "--list"], tmp_path)
     assert rc == 3
     rc, text = run(
         ["embed-verify", "--n", "2", "--k", "1", "--list", "--format", "csv"], tmp_path
@@ -398,6 +422,39 @@ def test_exit_codes(capsys):
     assert cli.main(["density", "--n", "6", "--k", "2", "--trunc", "40"]) == 3
     argv = ["isolated", "--n", "6", "--k", "2", "--mode", "dp", "--trunc", "40"]
     assert cli.main(argv) == 3
+    capsys.readouterr()
+    for argv in (["density", "--n", "5"], ["isolated", "--n", "5"], ["xi"]):
+        assert cli.main(argv + ["--kmax", "-1"]) == 3
+        assert "--kmax must be at least 0" in capsys.readouterr().err
+    # At tol 1 the enclosure of p_inf is too wide to bound 1 - p_inf away
+    # from 0, so B' density cannot be certified.
+    for argv in (["theorem1"], ["xi"]):
+        assert cli.main(argv + ["--kmax", "3", "--tol", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "not bounded away from 0" in err
+
+
+def test_unclassified_fault_exits_4(monkeypatch, capsys):
+    def broken(*args):
+        raise KeyError("x")
+
+    monkeypatch.setattr(census, "census_counts", broken)
+    assert cli.main(["density", "--n", "5", "--k", "1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "fdensity: internal invariant violated: KeyError('x')\n"
+
+
+def test_readme_commands_parse():
+    # Every `fdensity ...` line of the README's code blocks names only
+    # subcommands and flags the parser accepts; nothing is run.
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```[a-z]*\n(.*?)^```", readme, re.S | re.M)
+    lines = [ln for b in blocks for ln in b.splitlines() if ln.startswith("fdensity ")]
+    assert len(lines) >= 7
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 def test_thread_count_does_not_change_bytes(tmp_path):
