@@ -52,7 +52,7 @@ def _print_row(cells) -> None:
 
 
 def bench_multiply(n: int, k: int, repeats: int) -> None:
-    steps = [group.normalize(w) for _, w in group.GenSetSpec.extended().signed()]
+    steps = [g for _, g in group.GenSetSpec.extended().signed()]
     pairs = [(y, s) for y in census.embed(n, k).image() for s in steps]
     best = float("inf")
     for _ in range(repeats):

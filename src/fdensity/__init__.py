@@ -3,7 +3,8 @@ Thompson's group F.
 
 Layers:
 
-- ``group``: words and normal forms in F, generating sets, balls.
+- ``group``: normal forms in F (words are their text format), generating
+  sets of normal forms, balls.
 - ``forests``: marked binary forests, the partial generator actions, and
   the height-bounded families B(n, k).
 - ``series``: truncated integer power series for the same counts
@@ -39,8 +40,6 @@ from .group import (
     presentation_checks,
     sigma,
     sphere_sizes,
-    verify_relation,
-    word_xn,
 )
 from .forests import (
     MarkedForest,
@@ -123,7 +122,5 @@ __all__ = [
     "sigma",
     "sphere_sizes",
     "stats_elements",
-    "verify_relation",
-    "word_xn",
     "xi",
 ]

@@ -23,7 +23,6 @@ from typing import Callable, Collection, Iterable, Mapping, Optional
 from .errors import CapExceeded
 from .forests import (
     ACTION_LABELS,
-    LABEL_WORDS,
     ForestKey,
     MarkedForest,
     TreeTable,
@@ -38,15 +37,14 @@ from .group import (
     IDENTITY,
     NormalForm,
     multiply,
-    normalize,
 )
 from .series import CensusTallies, count_series
 
 DEFAULT_CAP = 10**8
 EMBED_N_CAP = 12
 
-# The normal form of each action label's word, and the label of each.
-_ACTION_STEPS = {label: normalize(LABEL_WORDS[label]) for label in ACTION_LABELS}
+# The generator each action label multiplies by, and the label of each.
+_ACTION_STEPS = dict(GenSetSpec.extended().signed())
 _STEP_LABELS = {step: label for label, step in _ACTION_STEPS.items()}
 
 
@@ -327,8 +325,7 @@ def stats_elements(
         raise ValueError("statistics need a nonempty vertex set")
     blocked_counts = []
     outside: set[NormalForm] = set()
-    for label, word in genset.signed():
-        step = normalize(word)
+    for label, step in genset.signed():
         candidates = Y
         if blocked is not None and step in _STEP_LABELS:
             candidates = blocked[_STEP_LABELS[step]]

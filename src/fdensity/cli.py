@@ -136,10 +136,8 @@ def _emit(
 def cmd_group_verify(args: argparse.Namespace) -> int:
     checks = group.presentation_checks(mixed_max=args.mn)
     if args.inject_bad_relator:
-        bad = group.verify_relation(
-            group.conjugate(group.W_X1, group.power(group.W_X0, 2)),
-            group.conjugate(group.W_X1, group.W_X0),
-        )
+        x0, x1 = group.X0, group.X1
+        bad = group.conjugate(x1, group.power(x0, 2)) == group.conjugate(x1, x0)
         checks.append(("x1^(x0^2) = x1^(x0) [injected control]", bad))
     rows = [
         {"relation": name, "status": "pass" if ok else "FAIL", "provenance": TAG_NF}
@@ -413,6 +411,8 @@ THEOREM2_COLUMNS = [
 
 
 def cmd_theorem2(args: argparse.Namespace) -> int:
+    if args.kmax < 1:
+        raise UsageError("--kmax must be at least 1")
     jobs = [(k, args.tol) for k in range(1, args.kmax + 1)]
     rows = _pmap(_theorem2_row, jobs, args.threads)
     k0 = next((r["k"] for r in rows if r["below_1"] == "certified"), None)
@@ -499,8 +499,9 @@ def cmd_embed_verify(args: argparse.Namespace) -> int:
         ]
         _emit(args, "embed-verify", rows, EMBED_COLUMNS + ["forest", "element"])
         return 0
-    ns = [args.n] if args.n is not None else range(1, args.nmax + 1)
-    ks = [args.k] if args.k is not None else range(0, args.kmax + 1)
+    # A lone --n or --k fixes that index; --nmax and --kmax have defaults.
+    ns = [args.n] if args.n is not None else _range_from(None, args.nmax, "n")
+    ks = [args.k] if args.k is not None else _range_from(None, args.kmax, "k")
     jobs = [(n, k, args.cap) for n in ns for k in ks]
     _emit(args, "embed-verify", _pmap(_embed_row, jobs, args.threads), EMBED_COLUMNS)
     return 0

@@ -35,15 +35,12 @@ from operator import mul
 from typing import Iterator, Optional
 
 from .errors import CapExceeded
-from .group import GenSetSpec, Word
 
 Tree = Optional[tuple]
 
 LEAF: Tree = None
 
 ACTION_LABELS = ("x0", "x0^-1", "x1", "x1^-1", "x1bar", "x1bar^-1")
-
-LABEL_WORDS: dict[str, Word] = dict(GenSetSpec.extended().signed())
 
 
 # ---------------------------------------------------------------------------

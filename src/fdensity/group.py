@@ -15,8 +15,10 @@ i_s != j_t).  We store the two index lists; `neg` is kept in increasing
 order, so the written inverse part is `neg` reversed.  A `NormalForm` is
 the tuple (pos, neg): it compares, orders and hashes as that tuple.
 
-Words are tuples of letters (index, sign).  Textual format: tokens "x<i>"
-for x_i, "X<i>" for x_i^-1, and "e" for the empty word.
+Elements, generators and everything computed with them are normal forms.
+Words, tuples of letters (index, sign), are only the text format: tokens
+"x<i>" for x_i, "X<i>" for x_i^-1, and "e" for the empty word;
+`parse_nf` and `format_nf` read and write an element through them.
 """
 
 from __future__ import annotations
@@ -57,49 +59,6 @@ def format_word(word: Word) -> str:
     if not word:
         return "e"
     return " ".join(("x" if s > 0 else "X") + str(i) for i, s in word)
-
-
-def inverse_word(word: Word) -> Word:
-    return tuple((i, -s) for i, s in reversed(word))
-
-
-def concat(*words: Word) -> Word:
-    out: list[Letter] = []
-    for w in words:
-        out.extend(w)
-    return tuple(out)
-
-
-def power(word: Word, n: int) -> Word:
-    if n < 0:
-        return power(inverse_word(word), -n)
-    return word * n
-
-
-def conjugate(a: Word, b: Word) -> Word:
-    """a^b = b^-1 a b."""
-    return concat(inverse_word(b), a, b)
-
-
-def commutator(a: Word, b: Word) -> Word:
-    """[a, b] = a^-1 b^-1 a b."""
-    return concat(inverse_word(a), inverse_word(b), a, b)
-
-
-def word_xn(n: int) -> Word:
-    """x_n as a word over x_0, x_1 (for n >= 2: x_0^-(n-1) x_1 x_0^(n-1))."""
-    if n < 0:
-        raise ValueError("generator index must be nonnegative")
-    if n <= 1:
-        return ((n, 1),)
-    return concat(power(((0, -1),), n - 1), ((1, 1),), power(((0, 1),), n - 1))
-
-
-W_X0: Word = ((0, 1),)
-W_X1: Word = ((1, 1),)
-W_X1BAR: Word = ((1, 1), (0, -1))          # x1 x0^-1
-W_ALPHA: Word = ((1, -1),)                 # x1^-1
-W_BETA: Word = ((0, 1), (1, -1))           # x0 x1^-1
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +189,8 @@ def _fold(p: list[int], q: list[int], word: Iterable[Letter]) -> NormalForm:
     for i, s in word:
         if i < 0:
             raise ValueError(f"negative generator index {i}")
+        if s not in (1, -1):
+            raise ValueError(f"letter sign {s} is not +-1")
         if s > 0:
             _append_pos(p, q, i)
         else:
@@ -262,49 +223,59 @@ def invert(a: NormalForm) -> NormalForm:
     return NormalForm(a.neg, a.pos)
 
 
-def verify_relation(lhs: Word, rhs: Word) -> bool:
-    """Do two words represent the same element of F?"""
-    return normalize(lhs) == normalize(rhs)
-
-
-def commutes(a, b) -> bool:
-    """Whether two elements (words or normal forms) commute."""
-    wa = letters(a) if isinstance(a, NormalForm) else tuple(a)
-    wb = letters(b) if isinstance(b, NormalForm) else tuple(b)
-    return verify_relation(concat(wa, wb), concat(wb, wa))
-
-
 # ---------------------------------------------------------------------------
-# endomorphisms
+# named elements, products and sigma
 
 
-SIGMA_IMAGES: dict[int, Word] = {0: ((0, -1),), 1: W_X1BAR}
+# The generators of the paper's sets: x1bar = x1 x0^-1, and the symmetric
+# presentation's alpha = x1^-1, beta = x0 x1^-1.
+X0 = parse_nf("x0")
+X1 = parse_nf("x1")
+X1BAR = parse_nf("x1 X0")
+ALPHA = parse_nf("X1")
+BETA = parse_nf("x0 X1")
 
 
-def apply_endomorphism(images: dict[int, Word], g: NormalForm) -> NormalForm:
-    """Apply the endomorphism determined by images of x_0 and x_1.
+def power(g: NormalForm, n: int) -> NormalForm:
+    if n < 0:
+        g, n = invert(g), -n
+    out = IDENTITY
+    for _ in range(n):
+        out = multiply(out, g)
+    return out
 
-    Letters x_n with n >= 2 are sent through x_n = x_0^-(n-1) x_1 x_0^(n-1).
-    """
-    if 0 not in images or 1 not in images:
-        raise ValueError("images must be defined for x0 and x1")
-    image: list[Letter] = []
-    for i, s in letters(g):
-        if i in images:
-            w = images[i]
-        else:
-            w = concat(
-                power(inverse_word(images[0]), i - 1),
-                images[1],
-                power(images[0], i - 1),
-            )
-        image.extend(w if s > 0 else inverse_word(w))
-    return normalize(image)
+
+def conjugate(a: NormalForm, b: NormalForm) -> NormalForm:
+    """a^b = b^-1 a b."""
+    return multiply(multiply(invert(b), a), b)
+
+
+def commutator(a: NormalForm, b: NormalForm) -> NormalForm:
+    """[a, b] = a^-1 b^-1 a b."""
+    return multiply(invert(multiply(b, a)), multiply(a, b))
+
+
+def commutes(a: NormalForm, b: NormalForm) -> bool:
+    return multiply(a, b) == multiply(b, a)
+
+
+def xn(n: int) -> NormalForm:
+    """x_n as a product over x_0, x_1 (for n >= 2: x_0^-(n-1) x_1 x_0^(n-1))."""
+    if n < 0:
+        raise ValueError("generator index must be nonnegative")
+    if n <= 1:
+        return NormalForm((n,), ())
+    return conjugate(X1, power(X0, n - 1))
 
 
 def sigma(g: NormalForm) -> NormalForm:
-    """The order-2 automorphism x0 -> x0^-1, x1 -> x1 x0^-1."""
-    return apply_endomorphism(SIGMA_IMAGES, g)
+    """The order-2 automorphism x0 -> x0^-1, x1 -> x1bar = x1 x0^-1, applied
+    letter by letter: x_i -> x0^(i-1) x1bar x0^-(i-1) for i >= 1."""
+    out = IDENTITY
+    for i, s in letters(g):
+        image = invert(X0) if i == 0 else conjugate(X1BAR, power(X0, 1 - i))
+        out = multiply(out, image if s > 0 else invert(image))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -313,50 +284,45 @@ def sigma(g: NormalForm) -> NormalForm:
 
 @dataclass(frozen=True)
 class GenSetSpec:
-    """A finite generating set: named words, none trivial, pairwise distinct."""
+    """A finite generating set of elements, none trivial, pairwise distinct."""
 
     name: str
-    gens: tuple[tuple[str, Word], ...]
+    gens: tuple[tuple[str, NormalForm], ...]
 
     def __post_init__(self) -> None:
         if not self.gens:
             raise ValueError("generating set must be nonempty")
         seen: dict[NormalForm, str] = {}
-        for label, word in self.gens:
-            nf = normalize(word)
-            if nf.is_identity():
+        for label, g in self.gens:
+            if g.is_identity():
                 raise ValueError(f"generator {label!r} is the identity")
-            if nf in seen:
-                raise ValueError(f"generators {seen[nf]!r} and {label!r} coincide")
-            seen[nf] = label
+            if g in seen:
+                raise ValueError(f"generators {seen[g]!r} and {label!r} coincide")
+            seen[g] = label
 
     @property
     def m(self) -> int:
         return len(self.gens)
 
-    def signed(self) -> tuple[tuple[str, Word], ...]:
+    def signed(self) -> tuple[tuple[str, NormalForm], ...]:
         """All 2m signed generators, inverses labelled with a ^-1 suffix."""
-        out = list(self.gens)
-        out.extend((label + "^-1", inverse_word(w)) for label, w in self.gens)
-        return tuple(out)
+        return self.gens + tuple((label + "^-1", invert(g)) for label, g in self.gens)
 
     @staticmethod
     def standard() -> "GenSetSpec":
-        return GenSetSpec("standard", (("x0", W_X0), ("x1", W_X1)))
+        return GenSetSpec("standard", (("x0", X0), ("x1", X1)))
 
     @staticmethod
     def symmetric() -> "GenSetSpec":
-        return GenSetSpec("symmetric", (("x1", W_X1), ("x1bar", W_X1BAR)))
+        return GenSetSpec("symmetric", (("x1", X1), ("x1bar", X1BAR)))
 
     @staticmethod
     def extended() -> "GenSetSpec":
-        return GenSetSpec(
-            "extended", (("x0", W_X0), ("x1", W_X1), ("x1bar", W_X1BAR))
-        )
+        return GenSetSpec("extended", (("x0", X0), ("x1", X1), ("x1bar", X1BAR)))
 
     @staticmethod
     def custom(words: Iterable[str]) -> "GenSetSpec":
-        gens = tuple((w, parse_word(w)) for w in words)
+        gens = tuple((w, parse_nf(w)) for w in words)
         return GenSetSpec("custom", gens)
 
 
@@ -379,7 +345,7 @@ def by_name(name: str) -> GenSetSpec:
 
 def ball(genset: GenSetSpec, radius: int, cap: int = 10**7) -> dict[NormalForm, int]:
     """All elements within word-length `radius`, mapped to their distance."""
-    steps = [normalize(w) for _, w in genset.signed()]
+    steps = [g for _, g in genset.signed()]
     dist: dict[NormalForm, int] = {IDENTITY: 0}
     frontier = [IDENTITY]
     for r in range(1, radius + 1):
@@ -411,8 +377,17 @@ def sphere_sizes(genset: GenSetSpec, radius: int, cap: int = 10**7) -> list[int]
 # presentation checks
 
 
+def _relators(x0: NormalForm, x1: NormalForm) -> list[tuple[NormalForm, NormalForm]]:
+    """Both sides of the two defining relations of F, evaluated at x0, x1."""
+    sq = power(x0, 2)
+    return [
+        (conjugate(x1, sq), conjugate(x1, multiply(x0, x1))),
+        (conjugate(x1, multiply(sq, x0)), conjugate(x1, multiply(sq, x1))),
+    ]
+
+
 def presentation_checks(mixed_max: int = 3) -> list[tuple[str, bool]]:
-    """Named word identities that must hold in F; each paired with its truth.
+    """Named identities that must hold in F; each paired with its truth.
 
     Covers: samples of the infinite family x_j x_i = x_i x_{j+1}; the two
     defining relations in x0, x1; the symmetric presentation in
@@ -420,7 +395,7 @@ def presentation_checks(mixed_max: int = 3) -> list[tuple[str, bool]]:
     restatement over x0, x1, and the mixed family alpha^(beta^m) <->
     beta^(alpha^n)); and the order-2 automorphism sigma.
     """
-    a, b = W_ALPHA, W_BETA
+    a, b = ALPHA, BETA
     checks: list[tuple[str, bool]] = []
 
     for i in range(0, 4):
@@ -428,29 +403,15 @@ def presentation_checks(mixed_max: int = 3) -> list[tuple[str, bool]]:
             checks.append(
                 (
                     f"x{j} x{i} = x{i} x{j + 1}",
-                    verify_relation(
-                        concat(word_xn(j), word_xn(i)),
-                        concat(word_xn(i), word_xn(j + 1)),
-                    ),
+                    multiply(xn(j), xn(i)) == multiply(xn(i), xn(j + 1)),
                 )
             )
 
-    x0sq = power(W_X0, 2)
-    x0cb = power(W_X0, 3)
-    checks.append(
-        (
-            "x1^(x0^2) = x1^(x0 x1)",
-            verify_relation(conjugate(W_X1, x0sq), conjugate(W_X1, concat(W_X0, W_X1))),
-        )
-    )
-    checks.append(
-        (
-            "x1^(x0^3) = x1^(x0^2 x1)",
-            verify_relation(conjugate(W_X1, x0cb), conjugate(W_X1, concat(x0sq, W_X1))),
-        )
-    )
+    (l1, r1), (l2, r2) = _relators(X0, X1)
+    checks.append(("x1^(x0^2) = x1^(x0 x1)", l1 == r1))
+    checks.append(("x1^(x0^3) = x1^(x0^2 x1)", l2 == r2))
 
-    checks.append(("x0 = beta alpha^-1", verify_relation(W_X0, concat(b, inverse_word(a)))))
+    checks.append(("x0 = beta alpha^-1", X0 == multiply(b, invert(a))))
     checks.append(("alpha^beta <-> beta^alpha", commutes(conjugate(a, b), conjugate(b, a))))
     checks.append(
         ("alpha^beta <-> beta^(alpha^2)", commutes(conjugate(a, b), conjugate(b, power(a, 2))))
@@ -464,14 +425,12 @@ def presentation_checks(mixed_max: int = 3) -> list[tuple[str, bool]]:
                 )
             )
 
-    # sigma kills both defining relators and squares to the identity.
-    rel1 = concat(conjugate(W_X1, x0sq), inverse_word(conjugate(W_X1, concat(W_X0, W_X1))))
-    rel2 = concat(conjugate(W_X1, x0cb), inverse_word(conjugate(W_X1, concat(x0sq, W_X1))))
-    checks.append(("sigma(relator 1) = e", sigma(normalize(rel1)).is_identity()))
-    checks.append(("sigma(relator 2) = e", sigma(normalize(rel2)).is_identity()))
-    for g, name in ((normalize(W_X0), "x0"), (normalize(W_X1), "x1")):
+    # sigma kills both defining relators (their sides agree at the images
+    # of x0, x1) and squares to the identity.
+    for t, (lhs, rhs) in enumerate(_relators(sigma(X0), sigma(X1)), 1):
+        checks.append((f"sigma(relator {t}) = e", lhs == rhs))
+    for g, name in ((X0, "x0"), (X1, "x1")):
         checks.append((f"sigma(sigma({name})) = {name}", sigma(sigma(g)) == g))
-    comm = normalize(commutator(W_X0, W_X1))
-    checks.append(("sigma([x0,x1]) != e", not sigma(comm).is_identity()))
+    checks.append(("sigma([x0,x1]) != e", not sigma(commutator(X0, X1)).is_identity()))
 
     return checks

@@ -34,6 +34,8 @@ from .errors import PrecisionExhausted
 
 DEFAULT_TOL = Fraction(1, 10**12)
 DEFAULT_MAX_BITS = 4096
+# phi_at refuses once its upper track exceeds this value.
+PHI_BOUND = 64
 
 
 @dataclass(frozen=True)
@@ -116,26 +118,24 @@ def _coerce(x) -> CertifiedInterval:
 # dyadic evaluation of Phi_k
 
 
-def _phi_scaled(k: int, zlo: int, zhi: int, p: int, bound: int) -> tuple[int, int]:
+def _phi_scaled(k: int, zlo: int, zhi: int, p: int) -> tuple[int, int]:
     """Outward-rounded [Phi_k(zlo/2^p), Phi_k(zhi/2^p)] as scaled integers.
 
     Requires 0 <= zlo <= zhi.  Phi_k is monotone in z on [0, inf) with
     nonnegative values, so the endpoint tracks are independent.  Raises
-    when the upper track exceeds `bound` (evaluation too close to or past
+    when the upper track exceeds PHI_BOUND (evaluation too close to or past
     the singularity for this use).
     """
-    one = 1 << p
+    limit = PHI_BOUND << p
     vlo, vhi = zlo, zhi
     for _ in range(k):
-        if vhi > bound * one:
-            raise PrecisionExhausted(
-                f"Phi evaluation exceeded bound {bound}; point too far past the singularity"
-            )
+        if vhi > limit:
+            break
         vlo = zlo + ((vlo * vlo) >> p)
         vhi = zhi - ((-(vhi * vhi)) >> p)
-    if vhi > bound * one:
+    if vhi > limit:
         raise PrecisionExhausted(
-            f"Phi evaluation exceeded bound {bound}; point too far past the singularity"
+            f"Phi evaluation exceeded bound {PHI_BOUND}; point too far past the singularity"
         )
     return vlo, vhi
 
@@ -173,9 +173,7 @@ def _to_scaled(x: Fraction, p: int) -> tuple[int, int]:
     return lo, hi
 
 
-def phi_at(
-    k: int, z_point, precision: int = 128, bound: int = 64
-) -> CertifiedInterval:
+def phi_at(k: int, z_point, precision: int = 128) -> CertifiedInterval:
     """Certified enclosure of Phi_k over a point or interval in [0, ~1]."""
     if k < 0:
         return CertifiedInterval.point(0)
@@ -184,7 +182,7 @@ def phi_at(
         raise ValueError("Phi enclosure requires a nonnegative argument")
     zlo, _ = _to_scaled(iv.lo, precision)
     _, zhi = _to_scaled(iv.hi, precision)
-    vlo, vhi = _phi_scaled(k, zlo, zhi, precision, bound)
+    vlo, vhi = _phi_scaled(k, zlo, zhi, precision)
     scale = 1 << precision
     return CertifiedInterval(Fraction(vlo, scale), Fraction(max(vlo, vhi), scale))
 
@@ -311,15 +309,11 @@ class LimitFractions:
     doubling_ratio: CertifiedInterval
 
 
-def limit_fractions(
-    k: int,
-    tol: Fraction = DEFAULT_TOL,
-    max_bits: int = DEFAULT_MAX_BITS,
-) -> LimitFractions:
+def limit_fractions(k: int, tol: Fraction = DEFAULT_TOL) -> LimitFractions:
     """All derived limit quantities at a given k >= 1."""
     if k < 1:
         raise ValueError("limit fractions need k >= 1")
-    x = xi(k, tol, max_bits)
+    x = xi(k, tol)
     prec = max(128, 8 + max(x.lo.denominator.bit_length(), 64))
     phi_prev = phi_at(k - 1, x, precision=prec)
     pinf = x * (1 - phi_prev).squared()

@@ -149,12 +149,12 @@ def test_embed_edge_consistency_spot():
     # Walking an edge in the forest model right-multiplies the element.
     emb = census.embed(4, 2)
     mapping = dict(emb.assignment)
-    words = {lbl: group.normalize(w) for lbl, w in forests.LABEL_WORDS.items()}
+    steps = dict(group.GenSetSpec.extended().signed())
     for f, g in mapping.items():
         for lbl in forests.ACTION_LABELS:
             img = forests.apply_within(lbl, f, 2)
             if img is not None:
-                assert mapping[img] == group.multiply(g, words[lbl])
+                assert mapping[img] == group.multiply(g, steps[lbl])
 
 
 def test_embed_refuses_large_n():
@@ -223,10 +223,7 @@ def test_stats_elements_blocked_record_matches_full_pass(monkeypatch):
     # generator equal to an action step multiplies only its blocked
     # elements, any other generator all of Y.
     seen = _counting_multiply(monkeypatch)
-    action_steps = {
-        group.normalize(forests.LABEL_WORDS[label]): label
-        for label in forests.ACTION_LABELS
-    }
+    action_steps = {s: label for label, s in group.GenSetSpec.extended().signed()}
     gensets = (
         group.GenSetSpec.standard(),
         group.GenSetSpec.symmetric(),
@@ -246,11 +243,10 @@ def test_stats_elements_blocked_record_matches_full_pass(monkeypatch):
                 seen["stats"] = 0
                 recorded = census.stats_elements(Y, gs, emb.blocked)
                 assert recorded == full, (n, k, gs.gens)
-                steps = [group.normalize(w) for _, w in gs.signed()]
                 assert seen["stats"] == sum(
                     len(emb.blocked[action_steps[s]]) if s in action_steps
                     else len(Y)
-                    for s in steps
+                    for _, s in gs.signed()
                 )
                 saved[gs] += 2 * gs.m * len(Y) - seen["stats"]
     assert saved.pop(CUSTOM_WITHOUT_STEP) == 0
@@ -306,10 +302,9 @@ def _outer_boundary_oracle(elements, genset):
     """#dY by its definition, in a loop of its own: the neighbours y*s
     outside Y, deduplicated by normal form."""
     Y = set(elements)
-    steps = [group.normalize(w) for _, w in genset.signed()]
     outside = set()
     for y in Y:
-        for s in steps:
+        for _, s in genset.signed():
             t = group.multiply(y, s)
             if t not in Y:
                 outside.add(t)

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+import fdensity
 from fdensity import census, cli, forests, group, series
 
 
@@ -414,8 +415,13 @@ def test_exit_codes(capsys):
     assert cli.main(["nonsense"]) == 3
     assert cli.main(["density", "--n", "2", "--k", "1", "--genset", "custom:"]) == 3
     capsys.readouterr()
-    assert cli.main(["theorem1", "--kmax", "0"]) == 3
-    assert "--kmax must be at least 1" in capsys.readouterr().err
+    for argv in (["theorem1"], ["theorem2"]):
+        assert cli.main(argv + ["--kmax", "0"]) == 3
+        assert "--kmax must be at least 1" in capsys.readouterr().err
+    # embed-verify's default ranges follow the same rule as density's.
+    for flag, value, low in (("--kmax", "-1", 0), ("--nmax", "0", 1)):
+        assert cli.main(["embed-verify", flag, value]) == 3
+        assert f"{flag} must be at least {low}" in capsys.readouterr().err
     assert cli.main(["density", "--nmax", "0", "--k", "1"]) == 3
     assert "--nmax must be at least 1" in capsys.readouterr().err
     # The series order is the table's largest n; no option sets it.
@@ -455,6 +461,14 @@ def test_readme_commands_parse():
     parser = cli.build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line)[1:])
+
+
+def test_package_exports_resolve():
+    # A name deleted from a module but left in __all__ fails here, not
+    # only at `from fdensity import *`.
+    names = fdensity.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(fdensity, n)] == []
 
 
 def test_thread_count_does_not_change_bytes(tmp_path):

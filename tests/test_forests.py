@@ -178,12 +178,8 @@ def test_tree_table_interns_each_tree_once():
 
 def test_x1bar_is_x1_then_x0_inverse():
     # x1bar = x1 x0^-1 as group elements, hence as partial maps.
-    w1 = group.normalize(forests.LABEL_WORDS["x1bar"])
-    w2 = group.multiply(
-        group.normalize(forests.LABEL_WORDS["x1"]),
-        group.normalize(forests.LABEL_WORDS["x0^-1"]),
-    )
-    assert w1 == w2
+    steps = dict(group.GenSetSpec.extended().signed())
+    assert steps["x1bar"] == group.multiply(steps["x1"], steps["x0^-1"])
     for f in forests.iter_bb(6, 5):
         via_x1 = forests.apply("x1", f)
         composite = forests.apply("x0^-1", via_x1) if via_x1 else None

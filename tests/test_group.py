@@ -24,6 +24,14 @@ def test_parse_word_rejects_garbage():
             group.parse_word(bad)
 
 
+def test_normalize_rejects_non_unit_signs():
+    # A NormalForm is not a word: read as letters, its parts ((0, 1) and
+    # (2, 3) here) would pass for x0 x2 unless the signs are checked.
+    for bad in (group.NormalForm((0, 1), (2, 3)), ((0, 2),), ((1, 0),)):
+        with pytest.raises(ValueError, match="sign"):
+            group.normalize(bad)
+
+
 def test_normalize_basic_examples():
     # x1 x0 = x0 x2 is the first defining relation.
     lhs = group.normalize(group.parse_word("x1 x0"))
@@ -34,8 +42,8 @@ def test_normalize_basic_examples():
 
 def test_normalize_commutator_value():
     # [x0, x1] = x0^-1 x1^-1 x0 x1 has normal form x1 x3^-1.
-    c = group.normalize(group.commutator(group.W_X0, group.W_X1))
-    assert c == group.parse_nf("x1 X3")
+    c = group.commutator(group.X0, group.X1)
+    assert c == group.parse_nf("X0 X1 x0 x1") == group.parse_nf("x1 X3")
     assert c.pos == (1,) and c.neg == (3,)
     assert not c.is_identity()
 
@@ -77,7 +85,8 @@ def test_inverse_of_random_words():
     for _ in range(200):
         u = _random_word(rng, rng.randrange(0, 14))
         g = group.normalize(u)
-        assert group.multiply(g, group.normalize(group.inverse_word(u))) == group.IDENTITY
+        reversed_u = tuple((i, -s) for i, s in reversed(u))
+        assert group.multiply(g, group.normalize(reversed_u)) == group.IDENTITY
 
 
 @given(st.lists(st.tuples(st.integers(0, 4), st.sampled_from((1, -1))), max_size=9))
@@ -104,7 +113,7 @@ def test_multiplication_is_associative(a, b, c):
 def test_word_xn_conjugation_formula():
     # x_n = x0^{-(n-1)} x1 x0^{n-1}
     for n in range(1, 7):
-        assert group.normalize(group.word_xn(n)) == group.normalize(((n, 1),))
+        assert group.xn(n) == group.normalize(((n, 1),))
 
 
 def test_presentation_checks_all_pass():
@@ -118,19 +127,16 @@ def test_presentation_checks_all_pass():
 
 def test_injected_wrong_relator_fails():
     # x1^(x0^2) = x1^(x0) is false; the checker must notice.
-    assert not group.verify_relation(
-        group.conjugate(group.W_X1, group.power(group.W_X0, 2)),
-        group.conjugate(group.W_X1, group.W_X0),
-    )
+    x0, x1 = group.X0, group.X1
+    assert group.conjugate(x1, group.power(x0, 2)) != group.conjugate(x1, x0)
 
 
 def test_sigma_involution_and_action():
-    x0 = group.normalize(group.W_X0)
-    x1 = group.normalize(group.W_X1)
+    x0, x1 = group.X0, group.X1
     assert group.sigma(group.sigma(x0)) == x0
     assert group.sigma(group.sigma(x1)) == x1
     assert group.sigma(x0) == group.invert(x0)
-    assert group.sigma(x1) == group.normalize(group.W_X1BAR)
+    assert group.sigma(x1) == group.X1BAR
     rng = random.Random(99)
     for _ in range(60):
         u = group.normalize(_random_word(rng, rng.randrange(0, 10)))
@@ -142,8 +148,7 @@ def test_sigma_involution_and_action():
 
 
 def test_sigma_swaps_symmetric_generators():
-    alpha = group.normalize(group.W_ALPHA)
-    beta = group.normalize(group.W_BETA)
+    alpha, beta = group.ALPHA, group.BETA
     # sigma exchanges x1^-1 and (x1 x0^-1)^-1 = x0 x1^-1.
     assert group.sigma(alpha) == beta
     assert group.sigma(beta) == alpha
@@ -162,7 +167,7 @@ def test_ball_cap_refusal():
 def test_ball_distances_are_geodesic():
     genset = group.GenSetSpec.standard()
     b = group.ball(genset, 3)
-    signed = [group.normalize(w) for _, w in genset.signed()]
+    signed = [s for _, s in genset.signed()]
     for g, d in b.items():
         if d == 0:
             assert g == group.IDENTITY
@@ -180,6 +185,7 @@ def test_genset_specs():
     assert std.m == 2 and sym.m == 2 and ext.m == 3
     assert [lbl for lbl, _ in ext.gens] == ["x0", "x1", "x1bar"]
     assert len(ext.signed()) == 6
+    assert all(isinstance(g, group.NormalForm) for _, g in ext.signed())
     custom = group.by_name("custom:x0,x1 x1")
     assert custom.m == 2
     with pytest.raises(ValueError):
@@ -199,12 +205,10 @@ def test_per_label_boundary_pairing_on_ball():
 
 
 def test_commutes_helper():
-    a = group.normalize(group.conjugate(group.W_ALPHA, group.W_BETA))
-    b = group.normalize(group.conjugate(group.W_BETA, group.W_ALPHA))
+    a = group.conjugate(group.ALPHA, group.BETA)
+    b = group.conjugate(group.BETA, group.ALPHA)
     assert group.commutes(a, b)
-    assert not group.commutes(
-        group.normalize(group.W_X0), group.normalize(group.W_X1)
-    )
+    assert not group.commutes(group.X0, group.X1)
 
 
 def _fold_letters(a, b):
