@@ -47,9 +47,9 @@ class OutputError(Exception):
     """--out could not be written."""
 
 
-def _decimal(x: Fraction, places: int = DECIMAL_PLACES, mode: str = "nearest") -> str:
+def _decimal(x: Fraction, mode: str = "nearest") -> str:
     """Exact decimal string; 'floor'/'ceil' for outward interval endpoints."""
-    q = Fraction(x) * 10**places
+    q = Fraction(x) * 10**DECIMAL_PLACES
     n, d = q.numerator, q.denominator
     if mode == "floor":
         v = n // d
@@ -58,8 +58,8 @@ def _decimal(x: Fraction, places: int = DECIMAL_PLACES, mode: str = "nearest") -
     else:
         v = (2 * n + d) // (2 * d)
     sign = "-" if v < 0 else ""
-    digits = str(abs(v)).zfill(places + 1)
-    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+    digits = str(abs(v)).zfill(DECIMAL_PLACES + 1)
+    return f"{sign}{digits[:-DECIMAL_PLACES]}.{digits[-DECIMAL_PLACES:]}"
 
 
 def _iv_cols(iv: intervals.CertifiedInterval, name: str) -> dict[str, str]:
@@ -413,6 +413,8 @@ THEOREM2_COLUMNS = [
 def cmd_theorem2(args: argparse.Namespace) -> int:
     if args.kmax < 1:
         raise UsageError("--kmax must be at least 1")
+    if args.n_small < 1:
+        raise UsageError("--n-small must be at least 1")
     jobs = [(k, args.tol) for k in range(1, args.kmax + 1)]
     rows = _pmap(_theorem2_row, jobs, args.threads)
     k0 = next((r["k"] for r in rows if r["below_1"] == "certified"), None)

@@ -74,9 +74,6 @@ class NormalForm(NamedTuple):
     def __mul__(self, other: "NormalForm") -> "NormalForm":
         return multiply(self, other)
 
-    def inverse(self) -> "NormalForm":
-        return invert(self)
-
     def is_identity(self) -> bool:
         return not self.pos and not self.neg
 

@@ -10,17 +10,17 @@ undecided; escalation failure raises PrecisionExhausted naming the width
 that was achieved.  A float estimate of xi_k only picks which bisection
 midpoints need a certificate; no endpoint depends on it.
 
-The derived limit quantities are assembled from xi_k enclosures with exact
-Fraction interval arithmetic:
+limit_fractions assembles the derived limits from an xi_k enclosure with
+exact Fraction interval arithmetic:
 
-    trivial-mark fraction      -> xi_k
-    edge-mark fraction         -> 0
+    xi_k
     isolated fraction  p(k)    = xi_k (1 - Phi_{k-1}(xi_k))^2
-    standard density           = 4 - 2 xi_k    (limit 7/2)
-    symmetric density          = 4 - 4 xi_k    (limit 3)
     density of B' (non-isolated vertices)
                                = (4 - 4 xi_k) / (1 - p(k))
-    doubling ratio bound       = 3 xi_k        (limit 3/4)
+
+The CLI derives the other limits from xi_k alone: the standard density
+4 - 2 xi_k (limit 7/2), the symmetric density 4 - 4 xi_k (limit 3) and the
+doubling ratio bound 3 xi_k (limit 3/4).
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from math import isfinite, ldexp, pi
 from .errors import PrecisionExhausted
 
 DEFAULT_TOL = Fraction(1, 10**12)
-DEFAULT_MAX_BITS = 4096
+# xi's working precision never exceeds this many bits.
+MAX_BITS = 4096
 # phi_at refuses once its upper track exceeds this value.
 PHI_BOUND = 64
 
@@ -99,9 +100,6 @@ class CertifiedInterval:
         inv = CertifiedInterval(1 / o.hi, 1 / o.lo)
         return self * inv
 
-    def __rtruediv__(self, other) -> "CertifiedInterval":
-        return _coerce(other) / self
-
     def squared(self) -> "CertifiedInterval":
         sq = self * self
         lo = Fraction(0) if 0 in self else sq.lo
@@ -118,45 +116,36 @@ def _coerce(x) -> CertifiedInterval:
 # dyadic evaluation of Phi_k
 
 
-def _phi_scaled(k: int, zlo: int, zhi: int, p: int) -> tuple[int, int]:
-    """Outward-rounded [Phi_k(zlo/2^p), Phi_k(zhi/2^p)] as scaled integers.
+def _phi_tracks(k: int, zlo: int, zhi: int, p: int, cap: int) -> tuple[int, int]:
+    """Floor track of Phi_k at zlo/2^p and ceil track at zhi/2^p, scaled by 2^p.
 
     Requires 0 <= zlo <= zhi.  Phi_k is monotone in z on [0, inf) with
-    nonnegative values, so the endpoint tracks are independent.  Raises
-    when the upper track exceeds PHI_BOUND (evaluation too close to or past
-    the singularity for this use).
+    nonnegative values, so the tracks are independent, and each rises with
+    k.  The upper track is held at cap once it passes it, and the loop
+    stops once the lower track passes cap.  An upper track that ends above
+    cap means only "above cap" and is not a bound; below cap it bounds
+    Phi_k(zhi/2^p) from above.  The lower track always bounds
+    Phi_k(zlo/2^p) from below.
     """
-    limit = PHI_BOUND << p
     vlo, vhi = zlo, zhi
     for _ in range(k):
-        if vhi > limit:
+        if vlo > cap:
             break
-        vlo = zlo + ((vlo * vlo) >> p)
-        vhi = zhi - ((-(vhi * vhi)) >> p)
-    if vhi > limit:
-        raise PrecisionExhausted(
-            f"Phi evaluation exceeded bound {PHI_BOUND}; point too far past the singularity"
-        )
-    return vlo, vhi
-
-
-def _phi_cmp_one(k: int, zlo: int, zhi: int, p: int) -> int:
-    """Sign of Phi_k(z) - 1, certified: -1, +1, or 0 when undecided.
-
-    The lower track alone certifies +1 (Phi_j <= Phi_k pointwise), so the
-    upper track may be saturated once it passes 2; saturation never yields
-    a wrong -1 because a saturated upper track stays above 1 forever.
-    """
-    one = 1 << p
-    cap = 2 * one + 1
-    vlo, vhi = zlo, zhi
-    for _ in range(k):
-        if vlo > one:
-            return 1
         if vhi > cap:
             vhi = cap
         vlo = zlo + ((vlo * vlo) >> p)
         vhi = zhi - ((-(vhi * vhi)) >> p)
+    return vlo, vhi
+
+
+def _phi_cmp_one(k: int, z: int, p: int) -> int:
+    """Sign of Phi_k(z/2^p) - 1, certified: -1, +1, or 0 when undecided.
+
+    The tracks are read at cap 2*2^p + 1: an upper track held there ends
+    above 1, so the hold never yields a wrong -1.
+    """
+    one = 1 << p
+    vlo, vhi = _phi_tracks(k, z, z, p, 2 * one + 1)
     if vhi < one:
         return -1
     if vlo > one:
@@ -173,17 +162,24 @@ def _to_scaled(x: Fraction, p: int) -> tuple[int, int]:
     return lo, hi
 
 
-def phi_at(k: int, z_point, precision: int = 128) -> CertifiedInterval:
-    """Certified enclosure of Phi_k over a point or interval in [0, ~1]."""
+def phi_at(k: int, z_point) -> CertifiedInterval:
+    """Certified enclosure of Phi_k over a point or interval in [0, ~1], at
+    precision max(128, 8 + bit length of the lower endpoint's denominator)."""
     if k < 0:
         return CertifiedInterval.point(0)
     iv = _coerce(z_point)
     if iv.lo < 0:
         raise ValueError("Phi enclosure requires a nonnegative argument")
-    zlo, _ = _to_scaled(iv.lo, precision)
-    _, zhi = _to_scaled(iv.hi, precision)
-    vlo, vhi = _phi_scaled(k, zlo, zhi, precision)
-    scale = 1 << precision
+    p = max(128, 8 + iv.lo.denominator.bit_length())
+    zlo, _ = _to_scaled(iv.lo, p)
+    _, zhi = _to_scaled(iv.hi, p)
+    cap = PHI_BOUND << p
+    vlo, vhi = _phi_tracks(k, zlo, zhi, p, cap)
+    if vhi > cap:
+        raise PrecisionExhausted(
+            f"Phi evaluation exceeded bound {PHI_BOUND}; point too far past the singularity"
+        )
+    scale = 1 << p
     return CertifiedInterval(Fraction(vlo, scale), Fraction(max(vlo, vhi), scale))
 
 
@@ -227,29 +223,25 @@ def _certified_cuts(k: int, a: int, b: int, p: int) -> tuple[int, int]:
         if (
             a < lo
             and hi < b
-            and _phi_cmp_one(k, lo, lo, p) == -1
-            and _phi_cmp_one(k, hi, hi, p) == 1
+            and _phi_cmp_one(k, lo, p) == -1
+            and _phi_cmp_one(k, hi, p) == 1
         ):
             return lo, hi
     return a, b
 
 
 @lru_cache(maxsize=None)
-def xi(
-    k: int,
-    tol: Fraction = DEFAULT_TOL,
-    max_bits: int = DEFAULT_MAX_BITS,
-) -> CertifiedInterval:
+def xi(k: int, tol: Fraction = DEFAULT_TOL) -> CertifiedInterval:
     """Certified enclosure of the root of Phi_k(z) = 1, of width <= tol.
 
     Bisection on [1/4, 1] with exact endpoint certificates
     Phi_k(lo) < 1 < Phi_k(hi); an undecided midpoint comparison doubles the
-    working precision.  xi_0 = 1 exactly.
+    working precision, up to MAX_BITS.  xi_0 = 1 exactly.
 
     Midpoints whose side is already known are not evaluated.  At a fixed
-    precision p, _phi_cmp_one(k, m, m, p) is nondecreasing in m: both
-    dyadic tracks are monotone in z, the saturation at cap is a min, and
-    the early +1 exit fires no later for a larger m.  So once lo and hi
+    precision p, _phi_cmp_one(k, m, p) is nondecreasing in m: both tracks
+    of _phi_tracks are monotone in z, the hold at cap is a min, and the
+    stop on the lower track comes no later for a larger m.  So once lo and hi
     are certified with signs -1 and +1 (see _certified_cuts), every
     midpoint m <= lo has side -1 and every m >= hi has side +1, exactly
     what evaluating it would return: the bisection path, and hence the
@@ -266,7 +258,7 @@ def xi(
         return CertifiedInterval(Fraction(1), Fraction(1))
     p = 64
     a, b = (1 << p) // 4, 1 << p
-    if _phi_cmp_one(k, a, a, p) != -1 or _phi_cmp_one(k, b, b, p) != 1:
+    if _phi_cmp_one(k, a, p) != -1 or _phi_cmp_one(k, b, p) != 1:
         raise AssertionError("bracket endpoints failed to certify")
     lo, hi = _certified_cuts(k, a, b, p)
     while Fraction(b - a, 1 << p) > tol:
@@ -279,16 +271,16 @@ def xi(
         elif m >= hi:
             side = 1
         else:
-            side = _phi_cmp_one(k, m, m, p)
+            side = _phi_cmp_one(k, m, p)
         if side < 0:
             a = m
         elif side > 0:
             b = m
         else:
-            if 2 * p > max_bits:
+            if 2 * p > MAX_BITS:
                 raise PrecisionExhausted(
-                    f"xi_{k}: precision budget {max_bits} bits exhausted at "
-                    f"width {Fraction(b - a, 1 << p)}"
+                    f"xi_{k}: precision budget {MAX_BITS} bits exhausted at "
+                    f"width {b - a}*2^-{p}"
                 )
             a, b, p = a << p, b << p, 2 * p
             # No later midpoint lies outside (a, b): skipping ends.
@@ -300,34 +292,21 @@ def xi(
 class LimitFractions:
     """Certified n -> infinity limits of the B(n, k) statistics, fixed k."""
 
-    k: int
     xi: CertifiedInterval
     isolated_fraction: CertifiedInterval
-    density_standard: CertifiedInterval
-    density_symmetric: CertifiedInterval
     bprime_density: CertifiedInterval
-    doubling_ratio: CertifiedInterval
 
 
 def limit_fractions(k: int, tol: Fraction = DEFAULT_TOL) -> LimitFractions:
-    """All derived limit quantities at a given k >= 1."""
+    """xi_k, p(k) and the B' density at a given k >= 1."""
     if k < 1:
         raise ValueError("limit fractions need k >= 1")
     x = xi(k, tol)
-    prec = max(128, 8 + max(x.lo.denominator.bit_length(), 64))
-    phi_prev = phi_at(k - 1, x, precision=prec)
-    pinf = x * (1 - phi_prev).squared()
-    dsym = 4 - 4 * x
+    pinf = x * (1 - phi_at(k - 1, x)).squared()
     if (1 - pinf).lo <= 0:
         raise PrecisionExhausted(
             f"1 - p_inf at k = {k} is not bounded away from 0 at tol {tol}"
         )
     return LimitFractions(
-        k=k,
-        xi=x,
-        isolated_fraction=pinf,
-        density_standard=4 - 2 * x,
-        density_symmetric=dsym,
-        bprime_density=dsym / (1 - pinf),
-        doubling_ratio=3 * x,
+        xi=x, isolated_fraction=pinf, bprime_density=(4 - 4 * x) / (1 - pinf)
     )

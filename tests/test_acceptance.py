@@ -185,12 +185,12 @@ def test_c06_density_limits():
     counts = census.census_counts(n_big, 3, mode="dp")
     std = counts.stats(GENSETS["standard"]).density
     sym = counts.stats(GENSETS["symmetric"]).density
-    gap_std = abs(std - lim3.density_standard.mid)
-    gap_sym = abs(sym - lim3.density_symmetric.mid)
+    gap_std = abs(std - (4 - 2 * lim3.xi).mid)
+    gap_sym = abs(sym - (4 - 4 * lim3.xi).mid)
     ok = gap_std < F(5, 100) and gap_sym < F(5, 100)
     lim64 = intervals.limit_fractions(64)
-    d2 = lim64.density_standard
-    d4 = lim64.density_symmetric
+    d2 = 4 - 2 * lim64.xi
+    d4 = 4 - 4 * lim64.xi
     ok = ok and max(abs(d2.lo - F(7, 2)), abs(d2.hi - F(7, 2))) < F(1, 100)
     ok = ok and max(abs(d4.lo - 3), abs(d4.hi - 3)) < F(2, 100)
     ok = ok and (time.monotonic() - t0) < 180.0

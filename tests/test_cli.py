@@ -418,6 +418,8 @@ def test_exit_codes(capsys):
     for argv in (["theorem1"], ["theorem2"]):
         assert cli.main(argv + ["--kmax", "0"]) == 3
         assert "--kmax must be at least 1" in capsys.readouterr().err
+    assert cli.main(["theorem2", "--kmax", "8", "--n-small", "0"]) == 3
+    assert "--n-small must be at least 1" in capsys.readouterr().err
     # embed-verify's default ranges follow the same rule as density's.
     for flag, value, low in (("--kmax", "-1", 0), ("--nmax", "0", 1)):
         assert cli.main(["embed-verify", flag, value]) == 3
@@ -438,6 +440,10 @@ def test_exit_codes(capsys):
         assert cli.main(argv + ["--kmax", "3", "--tol", "1"]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "not bounded away from 0" in err
+    # A tolerance past the precision budget is refused in one short line.
+    assert cli.main(["xi", "--kmax", "3", "--tol", "1e-2000"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 200 and "4096 bits" in err
 
 
 def test_unclassified_fault_exits_4(monkeypatch, capsys):
@@ -461,6 +467,15 @@ def test_readme_commands_parse():
     parser = cli.build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line)[1:])
+
+
+def test_readme_library_snippet_runs():
+    # The README's python block runs as written against the package.
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def test_package_exports_resolve():

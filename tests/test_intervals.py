@@ -73,7 +73,7 @@ def test_xi_one_is_golden_ratio_conjugate():
 def test_xi_at_root_phi_is_one():
     for k in (1, 2, 3, 8, 16):
         x = intervals.xi(k)
-        iv = intervals.phi_at(k, x.mid, precision=256)
+        iv = intervals.phi_at(k, x.mid)
         assert iv.lo < 1 + F(1, 10**9)
         assert iv.hi > 1 - F(1, 10**9)
 
@@ -107,8 +107,31 @@ def test_xi_respects_requested_tolerance():
 
 
 def test_precision_exhaustion_reported():
+    with pytest.raises(PrecisionExhausted) as exc:
+        intervals.xi(3, tol=F(1, 2**5000))
+    message = str(exc.value)
+    assert len(message) < 200 and "4096 bits" in message
+
+
+def test_phi_at_refuses_past_the_bound():
+    # Phi_20(1) is far above PHI_BOUND; the upper track ends above its cap.
     with pytest.raises(PrecisionExhausted):
-        intervals.xi(3, tol=F(1, 10**40), max_bits=96)
+        intervals.phi_at(20, 1)
+
+
+def test_phi_cmp_one_against_exact_sign():
+    # Each certified sign is 0 or the exact sign of Phi_k(z/2^p) - 1.
+    p = 64
+    one = 1 << p
+    deltas = [0, *(s * d for d in (1, 2**8, 2**30, 2**50) for s in (1, -1))]
+    for k in range(1, 10):
+        # floor(xi_k 2^p), up to the last grid step at this tolerance.
+        x = intervals.xi(k, F(1, one))
+        root = x.lo.numerator * one // x.lo.denominator
+        for z in (one // 4, one // 2, one, *(root + d for d in deltas)):
+            exact = _phi_exact(k, F(z, one)) - 1
+            want = (exact > 0) - (exact < 0)
+            assert intervals._phi_cmp_one(k, z, p) in (0, want), (k, z)
 
 
 def test_limit_fractions_against_float_recurrence():
@@ -121,10 +144,7 @@ def test_limit_fractions_against_float_recurrence():
         pinf = xi * (1 - phi_prev) ** 2
         dsym = 4 - 4 * xi
         assert abs(float(lf.isolated_fraction.mid) - pinf) < 1e-9
-        assert abs(float(lf.density_standard.mid) - (4 - 2 * xi)) < 1e-9
-        assert abs(float(lf.density_symmetric.mid) - dsym) < 1e-9
         assert abs(float(lf.bprime_density.mid) - dsym / (1 - pinf)) < 1e-9
-        assert abs(float(lf.doubling_ratio.mid) - 3 * xi) < 1e-9
 
 
 def test_limit_fractions_requires_positive_k():
@@ -138,7 +158,7 @@ def _plain_xi(k, tol):
     a, b = (1 << p) // 4, 1 << p
     while Fraction(b - a, 1 << p) > tol:
         m = (a + b) // 2
-        side = 0 if m in (a, b) else intervals._phi_cmp_one(k, m, m, p)
+        side = 0 if m in (a, b) else intervals._phi_cmp_one(k, m, p)
         if side < 0:
             a = m
         elif side > 0:
