@@ -408,6 +408,24 @@ def test_embed_verify_list_bytes_pinned(capsys, fmt):
     assert listed == sorted(listed)
 
 
+# sha256 of the stdout of `enumerate --n N --k K`, per format: 1688 rows at
+# (8, 3), and at (6, 0) six rows, every one isolated.
+ENUMERATE_SHA256 = {
+    (8, 3, "csv"): "3ee5f345e06cc18eeec758ee2957b59410606a6285a417a0ae599d1758a9aad0",
+    (8, 3, "json"): "4cf7cb78f710a30dc1fa6d4bed35eb687bb3075dcba190ec60f8a063bedc9a21",
+    (6, 0, "csv"): "02e4d1c80abd249fb4748527add1c295cd76195cbb7992349e53d24b906f3c8b",
+    (6, 0, "json"): "2fb9e62ed7a4cb7486a54eaf033c95f994cf426770dae5d95602e50dd0d8efab",
+}
+
+
+@pytest.mark.parametrize("n,k,fmt", sorted(ENUMERATE_SHA256))
+def test_enumerate_bytes_pinned(capsys, n, k, fmt):
+    argv = ["enumerate", "--n", str(n), "--k", str(k), "--format", fmt]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_SHA256[n, k, fmt]
+
+
 def test_exit_codes(capsys):
     assert cli.main(["density", "--k", "1"]) == 3  # missing --n/--nmax
     assert cli.main(["density", "--n", "2", "--nmax", "3", "--k", "1"]) == 3
