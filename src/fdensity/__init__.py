@@ -3,8 +3,8 @@ Thompson's group F.
 
 Layers:
 
-- ``group``: normal forms in F (words are their text format), generating
-  sets of normal forms, balls.
+- ``group``: normal forms in F (words are their text format) and
+  generating sets of normal forms.
 - ``forests``: marked binary forests, the partial generator actions, and
   the height-bounded families B(n, k).
 - ``series``: truncated integer power series for the same counts
@@ -25,7 +25,6 @@ from .group import (
     IDENTITY,
     GenSetSpec,
     NormalForm,
-    ball,
     by_name,
     commutator,
     commutes,
@@ -39,21 +38,16 @@ from .group import (
     parse_word,
     presentation_checks,
     sigma,
-    sphere_sizes,
 )
 from .forests import (
     MarkedForest,
-    apply,
-    apply_within,
-    apply_word,
     count_bb,
-    decode_forest,
     encode_forest,
     enumerate_bb,
     is_isolated,
     iter_bb,
 )
-from .series import TruncatedSeries, catalan, count_series, phi
+from .series import TruncatedSeries, count_series, phi
 from .intervals import (
     DEFAULT_TOL,
     CertifiedInterval,
@@ -89,19 +83,13 @@ __all__ = [
     "PrecisionExhausted",
     "SubgraphStats",
     "TruncatedSeries",
-    "apply",
-    "apply_within",
-    "apply_word",
-    "ball",
     "by_name",
-    "catalan",
     "census_counts",
     "commutator",
     "commutes",
     "conjugate",
     "count_bb",
     "count_series",
-    "decode_forest",
     "embed",
     "encode_forest",
     "enumerate_bb",
@@ -120,7 +108,6 @@ __all__ = [
     "phi_at",
     "presentation_checks",
     "sigma",
-    "sphere_sizes",
     "stats_elements",
     "xi",
 ]

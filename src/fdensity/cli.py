@@ -648,6 +648,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.threads < 1:  # every subcommand has --threads (_add_common)
+            raise UsageError("--threads must be at least 1")
         return args.func(args)
     except ValueError as exc:
         print(f"fdensity: invalid configuration: {exc}", file=sys.stderr)

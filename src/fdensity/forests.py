@@ -5,7 +5,8 @@ binary trees carrying exactly one marked tree.  B(n, k) is the set of such
 forests with n leaves in total and every tree of height at most k.
 
 Trees are nested pairs: a leaf is ``None``, an inner node is ``(left,
-right)``.  Textual grammar (used verbatim in files and on the CLI):
+right)``.  Forests are written in this grammar, the CLI's output format;
+its decoder lives in the tests:
 
     tree   := "." | "(" tree tree ")"
     forest := item (" " item)*
@@ -13,7 +14,8 @@ right)``.  Textual grammar (used verbatim in files and on the CLI):
 
 The six action labels match the signed generators of the extended set
 {x0, x1, x1bar}; acting by a label corresponds to right multiplication by
-that generator under the embedding into F (see census.embed):
+that generator under the embedding into F (see census.embed).
+`TreeTable.moves` defines them on interned forests:
 
     x0        move the mark one tree to the left
     x0^-1     move the mark one tree to the right
@@ -22,9 +24,9 @@ that generator under the embedding into F (see census.embed):
     x1^-1     merge the marked tree with its right neighbour (mark stays)
     x1bar^-1  merge the left neighbour with the marked tree (mark stays)
 
-Each action is partial: ``apply`` returns None where undefined, and
-``apply_within`` additionally returns None when a merge would create a tree
-of height above k.
+Each action is partial: a move has no tree to go to at an end of the
+forest, a leaf does not split, a merge needs a neighbour, and within
+B(n, k) a merge is blocked when it would create a tree of height above k.
 """
 
 from __future__ import annotations
@@ -63,28 +65,6 @@ def encode_tree(t: Tree) -> str:
     if t is None:
         return "."
     return "(" + encode_tree(t[0]) + encode_tree(t[1]) + ")"
-
-
-def _decode_tree(text: str, i: int) -> tuple[Tree, int]:
-    if i >= len(text):
-        raise ValueError(f"unexpected end of input at position {i}")
-    ch = text[i]
-    if ch == ".":
-        return None, i + 1
-    if ch == "(":
-        left, i = _decode_tree(text, i + 1)
-        right, i = _decode_tree(text, i)
-        if i >= len(text) or text[i] != ")":
-            raise ValueError(f"expected ')' at position {i}")
-        return (left, right), i + 1
-    raise ValueError(f"unexpected character {ch!r} at position {i}")
-
-
-def decode_tree(text: str) -> Tree:
-    t, i = _decode_tree(text, 0)
-    if i != len(text):
-        raise ValueError(f"trailing input at position {i}")
-    return t
 
 
 @lru_cache(maxsize=None)
@@ -161,87 +141,15 @@ def encode_forest(f: MarkedForest) -> str:
     )
 
 
-def decode_forest(text: str) -> MarkedForest:
-    items = text.split(" ")
-    trees = []
-    mark = None
-    for idx, item in enumerate(items):
-        if not item:
-            raise ValueError(f"empty forest item at index {idx}")
-        body = item
-        if item[0] == "*":
-            if mark is not None:
-                raise ValueError(f"second mark at item {idx}")
-            mark = idx
-            body = item[1:]
-        trees.append(decode_tree(body))
-    if mark is None:
-        raise ValueError("no marked tree")
-    return MarkedForest(tuple(trees), mark)
-
-
-def apply(label: str, f: MarkedForest) -> Optional[MarkedForest]:
-    """The partial action of one signed generator; None where undefined."""
-    ts, m = f.trees, f.mark
-    if label == "x0":
-        if m == 0:
-            return None
-        return MarkedForest(ts, m - 1)
-    if label == "x0^-1":
-        if m == len(ts) - 1:
-            return None
-        return MarkedForest(ts, m + 1)
-    if label in ("x1", "x1bar"):
-        t = ts[m]
-        if t is None:
-            return None
-        split = ts[:m] + (t[0], t[1]) + ts[m + 1:]
-        return MarkedForest(split, m if label == "x1" else m + 1)
-    if label == "x1^-1":
-        if m == len(ts) - 1:
-            return None
-        merged = ts[:m] + ((ts[m], ts[m + 1]),) + ts[m + 2:]
-        return MarkedForest(merged, m)
-    if label == "x1bar^-1":
-        if m == 0:
-            return None
-        merged = ts[:m - 1] + ((ts[m - 1], ts[m]),) + ts[m + 1:]
-        return MarkedForest(merged, m - 1)
-    raise ValueError(f"unknown action label {label!r}")
-
-
-def apply_within(label: str, f: MarkedForest, k: int) -> Optional[MarkedForest]:
-    """Like apply, but blocked when a merge would exceed height k."""
-    if label == "x1^-1":
-        m = f.mark
-        if m == len(f.trees) - 1:
-            return None
-        if max(height(f.trees[m]), height(f.trees[m + 1])) >= k:
-            return None
-    elif label == "x1bar^-1":
-        m = f.mark
-        if m == 0:
-            return None
-        if max(height(f.trees[m - 1]), height(f.trees[m])) >= k:
-            return None
-    return apply(label, f)
-
-
-def apply_word(labels: list[str], f: MarkedForest, k: int = -1) -> Optional[MarkedForest]:
-    """Compose partial actions left to right; k < 0 means unbounded."""
-    g: Optional[MarkedForest] = f
-    for label in labels:
-        if g is None:
-            return None
-        g = apply(label, g) if k < 0 else apply_within(label, g, k)
-    return g
-
-
 def is_isolated(f: MarkedForest, k: int) -> bool:
-    """All four symmetric-set actions blocked within height k."""
-    return all(
-        apply_within(label, f, k) is None
-        for label in ("x1", "x1^-1", "x1bar", "x1bar^-1")
+    """All four symmetric-set actions blocked within height k: the marked
+    tree is a leaf, so it cannot split, and on each side the forest ends
+    or the neighbour has height k, so it cannot merge."""
+    ts, m = f.trees, f.mark
+    return (
+        ts[m] is None
+        and (m == 0 or height(ts[m - 1]) >= k)
+        and (m == len(ts) - 1 or height(ts[m + 1]) >= k)
     )
 
 
@@ -259,7 +167,7 @@ class TreeTable:
     Id 0 is the leaf; every other id is an inner node with children
     kids[id] = (left, right) and height heights[id].  A pair is interned
     once, so equal trees have equal ids and equal forests equal keys.
-    `moves` agrees with `apply_within` label for label.
+    `moves` is checked against the object model in `tests/oracles.py`.
     """
 
     def __init__(self, k: int) -> None:

@@ -28,8 +28,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .errors import CapExceeded
-
 Letter = tuple[int, int]
 Word = tuple[Letter, ...]
 
@@ -95,22 +93,6 @@ def format_nf(nf: NormalForm) -> str:
 
 def parse_nf(text: str) -> NormalForm:
     return normalize(parse_word(text))
-
-
-def is_normal(nf: NormalForm) -> bool:
-    """Check every normal-form condition (used as a test oracle)."""
-    p, q = nf.pos, nf.neg
-    if any(p[t] > p[t + 1] for t in range(len(p) - 1)):
-        return False
-    if any(q[t] > q[t + 1] for t in range(len(q) - 1)):
-        return False
-    if any(i < 0 for i in p + q):
-        return False
-    if p and q and p[-1] == q[-1]:
-        return False
-    common = set(p) & set(q)
-    present = set(p) | set(q)
-    return all(i + 1 in present for i in common)
 
 
 def _append_pos(p: list[int], q: list[int], c: int) -> None:
@@ -334,40 +316,6 @@ def by_name(name: str) -> GenSetSpec:
         }[name]()
     except KeyError:
         raise ValueError(f"unknown generating set {name!r}") from None
-
-
-# ---------------------------------------------------------------------------
-# balls and boundaries in the element model
-
-
-def ball(genset: GenSetSpec, radius: int, cap: int = 10**7) -> dict[NormalForm, int]:
-    """All elements within word-length `radius`, mapped to their distance."""
-    steps = [g for _, g in genset.signed()]
-    dist: dict[NormalForm, int] = {IDENTITY: 0}
-    frontier = [IDENTITY]
-    for r in range(1, radius + 1):
-        layer = []
-        for g in frontier:
-            for s in steps:
-                h = multiply(g, s)
-                if h not in dist:
-                    if len(dist) >= cap:
-                        raise CapExceeded(
-                            f"ball of radius {radius} exceeds cap {cap}"
-                        )
-                    dist[h] = r
-                    layer.append(h)
-        frontier = sorted(layer)
-    return dist
-
-
-def sphere_sizes(genset: GenSetSpec, radius: int, cap: int = 10**7) -> list[int]:
-    """Count of elements at each distance 0..radius."""
-    dist = ball(genset, radius, cap)
-    counts = [0] * (radius + 1)
-    for r in dist.values():
-        counts[r] += 1
-    return counts
 
 
 # ---------------------------------------------------------------------------

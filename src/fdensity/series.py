@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 from operator import mul
 
 
@@ -146,10 +145,6 @@ def z(trunc: int) -> TruncatedSeries:
     if trunc < 1:
         raise ValueError("truncation order must be at least 1")
     return TruncatedSeries([0, 1] + [0] * (trunc - 1))
-
-
-def catalan(n: int) -> int:
-    return comb(2 * n, n) // (n + 1)
 
 
 @lru_cache(maxsize=None)

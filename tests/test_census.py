@@ -9,6 +9,8 @@ import pytest
 from fdensity import census, forests, group
 from fdensity.errors import CapExceeded
 
+import oracles
+
 
 def test_census_counts_dual_path_small_grid():
     for n in range(1, 9):
@@ -36,12 +38,12 @@ def test_census_counts_rule_based_oracle():
             assert c.edge == sum(1 for f in members if f.mark == 0)
             assert c.per_label_blocked() == {
                 label: sum(
-                    1 for f in members if forests.apply_within(label, f, k) is None
+                    1 for f in members if oracles.apply_within(label, f, k) is None
                 )
                 for label in forests.ACTION_LABELS
             }
             assert c.isolated == sum(
-                1 for f in members if forests.is_isolated(f, k)
+                1 for f in members if oracles.is_isolated(f, k)
             )
 
 
@@ -75,7 +77,7 @@ def test_handshake_identity_all_gensets():
                 label
                 for f in forests.iter_bb(n, k)
                 for label in forests.ACTION_LABELS
-                if forests.apply_within(label, f, k) is not None
+                if oracles.apply_within(label, f, k) is not None
             )
             for gs in gensets:
                 st = census.census_counts(n, k).stats(gs)
@@ -152,7 +154,7 @@ def test_embed_edge_consistency_spot():
     steps = dict(group.GenSetSpec.extended().signed())
     for f, g in mapping.items():
         for lbl in forests.ACTION_LABELS:
-            img = forests.apply_within(lbl, f, 2)
+            img = oracles.apply_within(lbl, f, 2)
             if img is not None:
                 assert mapping[img] == group.multiply(g, steps[lbl])
 
@@ -287,7 +289,7 @@ def test_doubling_ratio_tracks_3xi():
 
 def test_stats_elements_on_ball():
     gs = group.GenSetSpec.standard()
-    elements = set(group.ball(gs, 2))
+    elements = set(oracles.ball(gs, 2))
     st = census.stats_elements(elements, gs)
     assert st.vertices == 17
     # y -> y*a maps the a-edges inside Y onto the a^-1-edges inside Y.
@@ -318,7 +320,7 @@ def test_stats_elements_outer_boundary_matches_oracle():
         group.GenSetSpec.extended(),
         group.GenSetSpec.custom(["x0 x1", "X2", "x1 x1"]),
     )
-    ball5 = sorted(group.ball(group.GenSetSpec.standard(), 5), key=group.format_nf)
+    ball5 = sorted(oracles.ball(group.GenSetSpec.standard(), 5), key=group.format_nf)
     rng = random.Random(4242)
     sets = [set(rng.sample(ball5, rng.randrange(1, len(ball5) + 1))) for _ in range(8)]
     sets += [census.embed(n, k).image() for n in range(1, 7) for k in range(0, 3)]

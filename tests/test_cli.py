@@ -1,5 +1,6 @@
 """The command-line interface: exit codes, schemas, determinism."""
 
+import ast
 import csv
 import hashlib
 import json
@@ -444,6 +445,9 @@ def test_exit_codes(capsys):
         assert f"{flag} must be at least {low}" in capsys.readouterr().err
     assert cli.main(["density", "--nmax", "0", "--k", "1"]) == 3
     assert "--nmax must be at least 1" in capsys.readouterr().err
+    for threads in ("0", "-2"):
+        assert cli.main(["density", "--n", "3", "--k", "1", "--threads", threads]) == 3
+        assert "--threads must be at least 1" in capsys.readouterr().err
     # The series order is the table's largest n; no option sets it.
     assert cli.main(["density", "--n", "6", "--k", "2", "--trunc", "40"]) == 3
     argv = ["isolated", "--n", "6", "--k", "2", "--mode", "dp", "--trunc", "40"]
@@ -502,6 +506,30 @@ def test_package_exports_resolve():
     names = fdensity.__all__
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(fdensity, n)] == []
+
+
+def test_src_names_have_src_callers():
+    # Every top-level def and class in the package is used by the package
+    # itself; code that only the tests call belongs in tests/oracles.py.
+    sources = {
+        path: path.read_text()
+        for path in pathlib.Path(fdensity.__file__).parent.glob("*.py")
+        if path.name != "__init__.py"
+    }
+    unused = []
+    for path, text in sources.items():
+        lines = text.splitlines()
+        others = [t for p, t in sources.items() if p != path]
+        for node in ast.parse(text).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            # Blank the definition itself, decorators included.
+            start = min([d.lineno for d in node.decorator_list] + [node.lineno])
+            rest = "\n".join(lines[:start - 1] + lines[node.end_lineno:])
+            word = re.compile(rf"\b{node.name}\b")
+            if not any(word.search(t) for t in [rest] + others):
+                unused.append(f"{path.name}:{node.name}")
+    assert unused == []
 
 
 def test_thread_count_does_not_change_bytes(tmp_path):

@@ -9,14 +9,16 @@ from hypothesis import strategies as st
 from fdensity import census, forests, group
 from fdensity.errors import CapExceeded
 
+import oracles
+
 
 def test_tree_codec_round_trip():
     for text in (".", "(..)", "((..).)", "(.(..))", "((..)(..))"):
-        assert forests.encode_tree(forests.decode_tree(text)) == text
+        assert forests.encode_tree(oracles.decode_tree(text)) == text
     with pytest.raises(ValueError):
-        forests.decode_tree("(.")
+        oracles.decode_tree("(.")
     with pytest.raises(ValueError):
-        forests.decode_tree("(..))")
+        oracles.decode_tree("(..))")
 
 
 def test_tree_counts_match_catalan_when_height_free():
@@ -36,16 +38,16 @@ def test_count_trees_exact_height():
 
 
 def test_forest_codec_round_trip_and_errors():
-    f = forests.decode_forest("(..) *. ((..).)")
+    f = oracles.decode_forest("(..) *. ((..).)")
     assert f.n == 6
     assert f.mark == 1
     assert forests.encode_forest(f) == "(..) *. ((..).)"
     with pytest.raises(ValueError):
-        forests.decode_forest(". .")  # no mark
+        oracles.decode_forest(". .")  # no mark
     with pytest.raises(ValueError):
-        forests.decode_forest("*. *.")  # two marks
+        oracles.decode_forest("*. *.")  # two marks
     with pytest.raises(ValueError):
-        forests.decode_forest("")
+        oracles.decode_forest("")
 
 
 def test_counts_golden():
@@ -90,42 +92,42 @@ def test_enumerate_cap_refusal():
 
 
 def test_action_worked_examples():
-    f = forests.decode_forest(". *(..) .")
+    f = oracles.decode_forest(". *(..) .")
     # x0 moves the mark left; x0^-1 moves it right.
-    assert forests.encode_forest(forests.apply("x0", f)) == "*. (..) ."
-    assert forests.encode_forest(forests.apply("x0^-1", f)) == ". (..) *."
+    assert forests.encode_forest(oracles.apply("x0", f)) == "*. (..) ."
+    assert forests.encode_forest(oracles.apply("x0^-1", f)) == ". (..) *."
     # x1 splits the marked caret and marks the left child.
-    assert forests.encode_forest(forests.apply("x1", f)) == ". *. . ."
+    assert forests.encode_forest(oracles.apply("x1", f)) == ". *. . ."
     # x1bar splits and marks the right child.
-    assert forests.encode_forest(forests.apply("x1bar", f)) == ". . *. ."
+    assert forests.encode_forest(oracles.apply("x1bar", f)) == ". . *. ."
     # x1^-1 merges the marked tree with its right neighbour.
-    assert forests.encode_forest(forests.apply("x1^-1", f)) == ". *((..).)"
+    assert forests.encode_forest(oracles.apply("x1^-1", f)) == ". *((..).)"
     # x1bar^-1 merges with the left neighbour.
-    assert forests.encode_forest(forests.apply("x1bar^-1", f)) == "*(.(..)) ."
+    assert forests.encode_forest(oracles.apply("x1bar^-1", f)) == "*(.(..)) ."
 
 
 def test_action_partiality_at_edges():
-    f = forests.decode_forest("*. .")
-    assert forests.apply("x0", f) is None  # already leftmost
-    assert forests.apply("x1", f) is None  # marked tree trivial
-    assert forests.apply("x1bar", f) is None
-    g = forests.decode_forest(". *.")
-    assert forests.apply("x0^-1", g) is None  # already rightmost
-    assert forests.apply("x1^-1", g) is None  # no right neighbour
-    h = forests.decode_forest("*. .")
-    assert forests.apply("x1bar^-1", h) is None  # no left neighbour
+    f = oracles.decode_forest("*. .")
+    assert oracles.apply("x0", f) is None  # already leftmost
+    assert oracles.apply("x1", f) is None  # marked tree trivial
+    assert oracles.apply("x1bar", f) is None
+    g = oracles.decode_forest(". *.")
+    assert oracles.apply("x0^-1", g) is None  # already rightmost
+    assert oracles.apply("x1^-1", g) is None  # no right neighbour
+    h = oracles.decode_forest("*. .")
+    assert oracles.apply("x1bar^-1", h) is None  # no left neighbour
 
 
 def test_apply_within_height_guard():
     # Merging two height-1 trees makes height 2: allowed in B(n,2), not B(n,1).
-    f = forests.decode_forest("*(..) (..)")
-    assert forests.apply("x1^-1", f) is not None
-    assert forests.apply_within("x1^-1", f, 1) is None
-    assert forests.apply_within("x1^-1", f, 2) is not None
+    f = oracles.decode_forest("*(..) (..)")
+    assert oracles.apply("x1^-1", f) is not None
+    assert oracles.apply_within("x1^-1", f, 1) is None
+    assert oracles.apply_within("x1^-1", f, 2) is not None
     # The guard tests max of the two heights, not the marked height alone.
-    g = forests.decode_forest("*. (..)")
-    assert forests.apply_within("x1^-1", g, 1) is None
-    assert forests.apply_within("x1^-1", g, 2) is not None
+    g = oracles.decode_forest("*. (..)")
+    assert oracles.apply_within("x1^-1", g, 1) is None
+    assert oracles.apply_within("x1^-1", g, 2) is not None
 
 
 def test_actions_invert_each_other():
@@ -134,9 +136,9 @@ def test_actions_invert_each_other():
         for k in range(0, 3):
             for f in forests.iter_bb(n, k):
                 for a, b in pairs + [(y, x) for x, y in pairs]:
-                    g = forests.apply_within(a, f, k)
+                    g = oracles.apply_within(a, f, k)
                     if g is not None:
-                        assert forests.apply_within(b, g, k) == f
+                        assert oracles.apply_within(b, g, k) == f
 
 
 def test_actions_stay_in_family():
@@ -145,7 +147,7 @@ def test_actions_stay_in_family():
             members = set(forests.enumerate_bb(n, k))
             for f in members:
                 for lbl in forests.ACTION_LABELS:
-                    g = forests.apply_within(lbl, f, k)
+                    g = oracles.apply_within(lbl, f, k)
                     if g is not None:
                         assert g in members
 
@@ -161,7 +163,7 @@ def test_flat_moves_match_apply_within():
             for key in emb.flat:
                 f = decode(key)
                 for label, g in zip(forests.ACTION_LABELS, emb.table.moves(key)):
-                    expected = forests.apply_within(label, f, k)
+                    expected = oracles.apply_within(label, f, k)
                     got = None if g is None else decode(g)
                     assert got == expected, (label, forests.encode_forest(f), k)
 
@@ -173,7 +175,7 @@ def test_tree_table_interns_each_tree_once():
     b = table.intern(a, 0)
     assert table.intern(a, 0) == b != a
     assert (table.kids[b], table.heights[b]) == ((a, 0), 2)
-    assert table.decode(((b, a, 0), 1)) == forests.decode_forest("((..).) *(..) .")
+    assert table.decode(((b, a, 0), 1)) == oracles.decode_forest("((..).) *(..) .")
 
 
 def test_x1bar_is_x1_then_x0_inverse():
@@ -181,9 +183,9 @@ def test_x1bar_is_x1_then_x0_inverse():
     steps = dict(group.GenSetSpec.extended().signed())
     assert steps["x1bar"] == group.multiply(steps["x1"], steps["x0^-1"])
     for f in forests.iter_bb(6, 5):
-        via_x1 = forests.apply("x1", f)
-        composite = forests.apply("x0^-1", via_x1) if via_x1 else None
-        assert composite == forests.apply("x1bar", f)
+        via_x1 = oracles.apply("x1", f)
+        composite = oracles.apply("x0^-1", via_x1) if via_x1 else None
+        assert composite == oracles.apply("x1bar", f)
 
 
 def test_relator_acts_identically_where_defined():
@@ -194,8 +196,8 @@ def test_relator_acts_identically_where_defined():
     rhs_labels = ["x0", "x0^-1", "x1", "x0"]
     hits = 0
     for f in forests.iter_bb(6, 5):
-        lhs = forests.apply_word(lhs_labels, f)
-        rhs = forests.apply_word(rhs_labels, f)
+        lhs = oracles.apply_word(lhs_labels, f)
+        rhs = oracles.apply_word(rhs_labels, f)
         if lhs is not None and rhs is not None:
             assert lhs == rhs
             hits += 1
@@ -214,9 +216,21 @@ def test_is_isolated_golden():
     assert isolated31 == ["(..) *.", "*. (..)"]
 
 
+def test_is_isolated_matches_actions():
+    # The height rule against the four actions, on all 22438 forests of
+    # B(n, k) with n <= 9 and k <= 4.
+    seen = 0
+    for n in range(1, 10):
+        for k in range(5):
+            for f in forests.iter_bb(n, k):
+                assert forests.is_isolated(f, k) == oracles.is_isolated(f, k), (f, k)
+                seen += 1
+    assert seen == 22438
+
+
 @given(st.integers(1, 8), st.integers(0, 3), st.data())
 @settings(max_examples=80, deadline=None)
 def test_forest_text_round_trip(n, k, data):
     items = forests.enumerate_bb(n, k)
     f = data.draw(st.sampled_from(items))
-    assert forests.decode_forest(forests.encode_forest(f)) == f
+    assert oracles.decode_forest(forests.encode_forest(f)) == f

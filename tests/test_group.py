@@ -1,6 +1,7 @@
 """Normal-form arithmetic in F and the presentation checks."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from fdensity import census, group
 from fdensity.errors import CapExceeded
+
+import oracles
 
 
 def test_parse_format_round_trip():
@@ -49,12 +52,12 @@ def test_normalize_commutator_value():
 
 
 def test_normal_form_validator():
-    assert group.is_normal(group.parse_nf("x0 x2 X4 X0"))
+    assert oracles.is_normal(group.parse_nf("x0 x2 X4 X0"))
     # Reduction condition: 1 in both parts requires 2 in some part.
-    assert not group.is_normal(group.NormalForm(pos=(1,), neg=(1,)))
-    assert group.is_normal(group.NormalForm(pos=(1, 2), neg=(1,)))
+    assert not oracles.is_normal(group.NormalForm(pos=(1,), neg=(1,)))
+    assert oracles.is_normal(group.NormalForm(pos=(1, 2), neg=(1,)))
     # Weakly increasing indices are required.
-    assert not group.is_normal(group.NormalForm(pos=(2, 1), neg=()))
+    assert not oracles.is_normal(group.NormalForm(pos=(2, 1), neg=()))
 
 
 def test_inverse_and_identity():
@@ -77,7 +80,7 @@ def test_multiplication_agrees_with_free_reduction():
         lhs = group.multiply(group.normalize(u), group.normalize(v))
         rhs = group.normalize(u + v)
         assert lhs == rhs
-        assert group.is_normal(lhs)
+        assert oracles.is_normal(lhs)
 
 
 def test_inverse_of_random_words():
@@ -93,7 +96,7 @@ def test_inverse_of_random_words():
 @settings(max_examples=120, deadline=None)
 def test_normal_form_round_trips_through_text(letters):
     g = group.normalize(tuple(letters))
-    assert group.is_normal(g)
+    assert oracles.is_normal(g)
     assert group.parse_nf(group.format_nf(g)) == g
 
 
@@ -156,17 +159,18 @@ def test_sigma_swaps_symmetric_generators():
 
 def test_ball_sphere_sizes_standard():
     genset = group.GenSetSpec.standard()
-    assert group.sphere_sizes(genset, 4) == [1, 4, 12, 36, 108]
+    spheres = Counter(oracles.ball(genset, 4).values())
+    assert [spheres[r] for r in range(5)] == [1, 4, 12, 36, 108]
 
 
 def test_ball_cap_refusal():
     with pytest.raises(CapExceeded):
-        group.ball(group.GenSetSpec.standard(), 4, cap=10)
+        oracles.ball(group.GenSetSpec.standard(), 4, cap=10)
 
 
 def test_ball_distances_are_geodesic():
     genset = group.GenSetSpec.standard()
-    b = group.ball(genset, 3)
+    b = oracles.ball(genset, 3)
     signed = [s for _, s in genset.signed()]
     for g, d in b.items():
         if d == 0:
@@ -198,7 +202,7 @@ def test_genset_specs():
 
 def test_per_label_boundary_pairing_on_ball():
     genset = group.GenSetSpec.standard()
-    elements = set(group.ball(genset, 3))
+    elements = set(oracles.ball(genset, 3))
     counts = census.stats_elements(elements, genset).per_label_blocked()
     for lbl, _ in genset.gens:
         assert counts[lbl] == counts[lbl + "^-1"]
@@ -225,7 +229,7 @@ def test_multiply_matches_letter_fold(u, v):
     a, b = group.normalize(tuple(u)), group.normalize(tuple(v))
     h = group.multiply(a, b)
     assert h == _fold_letters(a, b)
-    assert group.is_normal(h)
+    assert oracles.is_normal(h)
 
 
 def test_multiply_cases_that_need_reduction():
@@ -237,4 +241,4 @@ def test_multiply_cases_that_need_reduction():
         a, b = group.parse_nf(left), group.parse_nf(right)
         h = group.multiply(a, b)
         assert h == _fold_letters(a, b) == group.parse_nf(want)
-        assert group.is_normal(h)
+        assert oracles.is_normal(h)

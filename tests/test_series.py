@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from fdensity import census, cli, forests, series
 
+import oracles
+
 
 def test_series_arithmetic():
     a = series.TruncatedSeries((1, 2, 3))
@@ -124,9 +126,9 @@ def test_psi_counts_bb():
 
 def test_catalan_series_identity():
     # C(z) = sum c_n z^(n+1) satisfies C = z + C^2.
-    c = series.TruncatedSeries([0] + [series.catalan(n) for n in range(16)])
+    c = series.TruncatedSeries([0] + [oracles.catalan(n) for n in range(16)])
     assert c == series.z(16) + c.square()
-    assert [series.catalan(n) for n in range(7)] == [1, 1, 2, 5, 14, 42, 132]
+    assert [oracles.catalan(n) for n in range(7)] == [1, 1, 2, 5, 14, 42, 132]
 
 
 def test_catalan_prefix_of_phi():
@@ -135,7 +137,7 @@ def test_catalan_prefix_of_phi():
     for k in range(0, 13):
         p = series.phi(k, k + 2)
         assert [p[n + 1] for n in range(k + 1)] == [
-            series.catalan(n) for n in range(k + 1)
+            oracles.catalan(n) for n in range(k + 1)
         ]
 
 
@@ -202,7 +204,7 @@ def test_count_series_matches_enumeration():
             t = fam.at(n)
             members = forests.enumerate_bb(n, k)
             assert t.total == len(members)
-            assert t.isolated == sum(1 for f in members if forests.is_isolated(f, k))
+            assert t.isolated == sum(1 for f in members if oracles.is_isolated(f, k))
             assert t.trivial == sum(1 for f in members if f.trees[f.mark] is None)
             assert t.edge == sum(1 for f in members if f.mark == 0)
 

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from fdensity import census, cli, forests, series
 
+import oracles
+
 
 def _object_model_tallies(n: int, k: int):
     """The walk's tallies, per-label blocked counts and sequence count,
@@ -16,10 +18,10 @@ def _object_model_tallies(n: int, k: int):
         total=len(members),
         trivial=sum(1 for f in members if f.trees[f.mark] is None),
         edge=sum(1 for f in members if f.mark == 0),
-        isolated=sum(1 for f in members if forests.is_isolated(f, k)),
+        isolated=sum(1 for f in members if oracles.is_isolated(f, k)),
     )
     blocked = {
-        label: sum(1 for f in members if forests.apply_within(label, f, k) is None)
+        label: sum(1 for f in members if oracles.apply_within(label, f, k) is None)
         for label in forests.ACTION_LABELS
     }
     return tallies, blocked, len({f.trees for f in members})
