@@ -427,6 +427,28 @@ def test_enumerate_bytes_pinned(capsys, n, k, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_SHA256[n, k, fmt]
 
 
+# sha256 of the stdout of two walked census tables, per format: 12 x 5 rows
+# of each.
+TABLE_ARGV = {
+    "density": ["density", "--nmax", "12", "--kmax", "4", "--genset", "symmetric",
+                "--mode", "enumerate", "--boundary", "never"],
+    "isolated": ["isolated", "--nmax", "12", "--kmax", "4", "--mode", "enumerate"],
+}
+TABLE_SHA256 = {
+    ("density", "csv"): "ab33dee132d7f5f14ba5abb365ab114bff47458146d514eec30d2aa2f965f4d1",
+    ("density", "json"): "de5846c3324b9ad554df42fbe312a540e755cdc9a6801529b65c86329ca43533",
+    ("isolated", "csv"): "dacff0d726e35008d5b20c3c6376654a6a1a27670ecb641c8dd3f38340c4959f",
+    ("isolated", "json"): "16124252e818c6c6fe1df5f9bf7ee1c7be1d86ed929ea81b6696c6650628db1a",
+}
+
+
+@pytest.mark.parametrize("command,fmt", sorted(TABLE_SHA256))
+def test_table_bytes_pinned(capsys, command, fmt):
+    assert cli.main(TABLE_ARGV[command] + ["--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_SHA256[command, fmt]
+
+
 def test_exit_codes(capsys):
     assert cli.main(["density", "--k", "1"]) == 3  # missing --n/--nmax
     assert cli.main(["density", "--n", "2", "--nmax", "3", "--k", "1"]) == 3
