@@ -18,11 +18,13 @@ counted in one more untimed pass.  The BFS multiplies each unblocked
 count must be 6 |B(n', k')| summed over the grid; every boundary must stay
 within the doubling bound of theorem2.
 
-census: for --census N:K, the walk census._walk on the exact-height table
-_height_table(n, K) for each n in [N-4, N], in seconds (minimum over the
-repeats) and forests per second.  Every walk total must equal |B(n, K)|,
-and the walk's tallies and per-label blocked counts must equal those the
-series read count_series(K, n).at(n) gives.
+census: for --census N:K, one walk census._walk(N, K) on the exact-height
+table _height_table(N, K), in seconds (minimum over the repeats), and the
+forests it tallies per second, summed over every n <= N.  The rows are
+n in [N-4, N], all read from that one walk, each with the walk's time and
+rate.  Every row's total must equal |B(n, K)|, and its tallies and
+per-label blocked counts must equal those the series read
+count_series(K, N).at(n) gives.
 
 series: for each N:K in --series, the three steps of count_series(K, N),
 each repeat starting from empty _phi_chain and count_series caches:
@@ -104,19 +106,21 @@ def bench_embedding(n: int, k: int, repeats: int) -> None:
 
 
 def bench_census(n: int, k: int, repeats: int) -> None:
+    table = census._height_table(n, k)
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        walked = census._walk(n, k, table)
+        best = min(best, time.perf_counter() - t0)
+    rate = sum(tallies.total for tallies, _, _ in walked) / best
+    fam = series.count_series(k, n)
     _print_row(["n", "k", "|B(n,k)|", "walk (s)", "forests/s"])
     for nn in range(max(1, n - 4), n + 1):
-        table = census._height_table(nn, k)
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            tallies, blocked, _ = census._walk(nn, k, table)
-            best = min(best, time.perf_counter() - t0)
-        total = tallies.total
-        assert total == forests.count_bb(nn, k), "walk total != |B(n,k)|"
-        dp = series.count_series(k, nn).at(nn)
+        tallies, blocked, _ = walked[nn]
+        assert tallies.total == forests.count_bb(nn, k), "walk total != |B(n,k)|"
+        dp = fam.at(nn)
         assert tallies == dp and blocked == dp.per_label_blocked(), "walk != dp"
-        _print_row([nn, k, total, f"{best:.4f}", f"{total / best:.3g}"])
+        _print_row([nn, k, tallies.total, f"{best:.4f}", f"{rate:.3g}"])
 
 
 def bench_series(cases: list[tuple[int, int]], repeats: int) -> None:

@@ -2,7 +2,10 @@
 
 Two independent routes produce every count: `enumerate` walks all of
 B(n, k) by height profile (`_walk`), `dp` reads coefficients of the exact
-counting series; they must agree integer-for-integer.
+counting series; they must agree integer-for-integer.  Each route is built
+once per k for a whole table: one walk to the table's largest n tallies
+every smaller n on the way, as one truncated series holds every
+coefficient below its order.
 
 Densities follow delta(Y) = degree_sum / #Y; together with the Cheeger
 count #d*Y (directed edges leaving Y) this satisfies
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Collection, Iterable, Mapping, Optional
 
 from .errors import CapExceeded
@@ -66,76 +70,88 @@ def _height_table(n: int, k: int) -> list[list[int]]:
 
 def _walk(
     n: int, k: int, table: list[list[int]]
-) -> tuple[CensusTallies, dict[str, int], int]:
-    """Exhaustive tallies over B(n, k), one visit per height profile.
+) -> list[tuple[CensusTallies, dict[str, int], int]]:
+    """Exhaustive tallies over B(s, k) for every s <= n, from one walk.
 
-    A forest is visited as (tree_1 ... tree_m, mark): the walk chooses,
-    left to right, each tree's leaf count l and exact height h, and then
-    tallies every mark position.  The per-vertex tally needs only the
-    height profile: the four symmetric-set labels are blocked by mark
-    position, the marked tree being trivial, or a neighbour of height
-    exactly k standing in the way of a merge.  So each profile is visited
-    once, weighted by the number of concrete forests sharing it (the
-    product of the table[l][h] entries along the way), instead of once
-    per concrete tree shape.
+    The walk chooses, left to right, each tree's leaf count l and exact
+    height h, so it visits each height profile (h_1 ... h_m) once,
+    weighted by the number of concrete tree sequences sharing it (the
+    product of the table[l][h] entries along the way).  Every node is a
+    forest: a prefix of trees with s leaves is a tree sequence of B(s, k),
+    and the walk to depth n reaches each one exactly once, so each node
+    tallies its m marks into slot s.
 
-    Returns (tallies, blocked, sequences): the four tallies; the blocked
-    count of each of the six action labels, each tallied from its own
-    definition (x1^-1: mark on the last tree, or the marked tree or its
-    right neighbour of height k; x1bar^-1 the same on the left), so that
-    census_counts can check them against the tallies; and the number of
-    unmarked tree sequences.
+    The per-mark tally needs only the marked tree and its two neighbours:
+    the mark's position, the marked tree being trivial, or a tree of
+    height exactly k standing in the way of a merge.  So the walk carries
+    the running sums down instead of looping over the marks: the number
+    of trees, of trivial trees, of adjacent pairs containing a tree of
+    height k, and of isolated marks already closed (a mark whose right
+    neighbour is chosen), with the last tree's height and whether its
+    left side is blocked.  Appending a tree closes the mark before it; a
+    node adds its open last mark when it tallies.  That is O(1) work per
+    node.
+
+    x1^-1 is blocked at the last mark and at the left mark of every such
+    pair; x1bar^-1 at the first mark and at the right mark of every such
+    pair.  Both come from the one pair count, so their mirror equality
+    holds by construction, as first/last does (both are the sequence
+    count).  The identity census_counts really checks is x1^-1 blocked =
+    trivial; tests/test_walk.py keeps all six labels independent by
+    recounting them from the actions.
+
+    Returns, for s = 0..n, (tallies, blocked, sequences): the four
+    tallies; the blocked count of each of the six action labels; and the
+    number of unmarked tree sequences.  Slot 0 is all zero.
     """
-    # total, trivial, mark first, mark last, x1^-1 blocked,
-    # x1bar^-1 blocked, isolated
-    acc = [0] * 7
-    hs = [0] * n
-    sequences = 0
-    shapes = [[(h, c) for h, c in enumerate(row) if c] for row in table]
+    # fits[rem]: every (leaf count, height, count) of a tree within rem leaves
+    fits = [
+        [(l, h, c) for l in range(1, rem + 1) for h, c in enumerate(table[l]) if c]
+        for rem in range(n + 1)
+    ]
+    total = [0] * (n + 1)
+    trivial = [0] * (n + 1)
+    merge_blocked = [0] * (n + 1)
+    isolated = [0] * (n + 1)
+    sequences = [0] * (n + 1)
 
-    def tally(m: int, w: int) -> None:
-        for mark in range(m):
-            h = hs[mark]
-            trivial = h == 0
-            right_b = mark == m - 1 or hs[mark + 1] == k
-            left_b = mark == 0 or hs[mark - 1] == k
-            acc[0] += w
-            if trivial:
-                acc[1] += w
-            if mark == 0:
-                acc[2] += w
-            if mark == m - 1:
-                acc[3] += w
-            if right_b or h == k:
-                acc[4] += w
-            if left_b or h == k:
-                acc[5] += w
-            if trivial and (right_b or h == k) and (left_b or h == k):
-                acc[6] += w
+    def rec(s, m, triv, pair, closed, last, left, w):
+        top = last == k
+        open_iso = last == 0 and (left or top)
+        total[s] += w * m
+        trivial[s] += w * triv
+        merge_blocked[s] += w * (pair + 1)
+        isolated[s] += w * (closed + open_iso)
+        sequences[s] += w
+        for l, h, c in fits[n - s]:
+            b = top or h == k
+            rec(s + l, m + 1, triv + (h == 0), pair + b, closed + (open_iso and b),
+                h, top, w * c)
 
-    def rec(rem: int, m: int, w: int) -> None:
-        nonlocal sequences
-        if rem == 0:
-            sequences += w
-            tally(m, w)
-            return
-        for l in range(1, rem + 1):
-            for h, cnt in shapes[l]:
-                hs[m] = h
-                rec(rem - l, m + 1, w * cnt)
+    for l, h, c in fits[n]:
+        rec(l, 1, h == 0, 0, 0, h, True, c)
+    out = []
+    for s in range(n + 1):
+        tallies = CensusTallies(
+            total=total[s], trivial=trivial[s], edge=sequences[s], isolated=isolated[s]
+        )
+        blocked = {
+            "x0": sequences[s],
+            "x0^-1": sequences[s],
+            "x1": trivial[s],
+            "x1^-1": merge_blocked[s],
+            "x1bar": trivial[s],
+            "x1bar^-1": merge_blocked[s],
+        }
+        out.append((tallies, blocked, sequences[s]))
+    return out
 
-    rec(n, 0, 1)
-    total, trivial, first, last, right_b, left_b, isolated = acc
-    tallies = CensusTallies(total=total, trivial=trivial, edge=first, isolated=isolated)
-    blocked = {
-        "x0": first,
-        "x0^-1": last,
-        "x1": trivial,
-        "x1^-1": right_b,
-        "x1bar": trivial,
-        "x1bar^-1": left_b,
-    }
-    return tallies, blocked, sequences
+
+@lru_cache(maxsize=None)
+def _walked(depth: int, k: int) -> list[tuple[CensusTallies, dict[str, int], int]]:
+    """_walk to depth on the exact-height table, once per (depth, k), as
+    count_series holds one series per (k, order)."""
+    return _walk(depth, k, _height_table(depth, k))
 
 
 _FOREST_GENSETS = ("standard", "symmetric", "extended")
@@ -215,23 +231,33 @@ def census_counts(
     """The tallies over B(n, k) by the chosen route.
 
     The enumerate route also checks the walk's blocked count of every
-    action label against the tallies (the series identities).  trunc
-    overrides the dp series order (default n; larger values give the same
-    coefficients, the prefix of a truncated product is stable).
+    action label against the tallies (the series identities).  trunc is
+    the dp series order (default n; larger values give the same
+    coefficients, the prefix of a truncated product is stable), and also
+    the enumerate walk's depth when |B(trunc, k)| is within cap (else the
+    walk goes to n): a table passes its largest n, so every row reads one
+    cached walk per k, as it reads one series.
     """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
     if trunc is not None and trunc < n:
         raise ValueError(f"series truncation {trunc} cannot cover [z^{n}]")
     if mode == "both":
-        a = census_counts(n, k, "enumerate", cap)
+        a = census_counts(n, k, "enumerate", cap, trunc)
         b = census_counts(n, k, "dp", cap, trunc)
         if a != b:
             raise AssertionError(f"enumerate/dp disagree at n={n} k={k}: {a} {b}")
         return a
     if mode == "enumerate":
         estimate = _count_bb_within_cap(n, k, cap)
-        tallies, blocked, seqs = _walk(n, k, _height_table(n, k))
+        depth = n
+        if trunc is not None and trunc > n:
+            try:
+                _count_bb_within_cap(trunc, k, cap)
+                depth = trunc
+            except CapExceeded:
+                pass
+        tallies, blocked, seqs = _walked(depth, k)[n]
         if tallies.total != estimate or seqs != _seq_counts(n, k)[0]:
             raise AssertionError(
                 f"census walk counts disagree with recursion at n={n} k={k}"

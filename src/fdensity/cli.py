@@ -289,8 +289,10 @@ def _range_from(single: Optional[int], upto: Optional[int], name: str) -> list[i
 
 def _grid(args: argparse.Namespace, *fields) -> list[tuple]:
     """Jobs (n, k, *fields, order) of a density or isolated table.  Every
-    row reads the dp series at the table's largest n, so each k builds its
-    series once (the coefficients do not depend on the order)."""
+    row reads the dp series and the census walk at the table's largest n,
+    so each k builds its series once and walks once (the coefficients do
+    not depend on the order, and the walk tallies every smaller n on the
+    way)."""
     ns = _range_from(args.n, args.nmax, "n")
     ks = _range_from(args.k, args.kmax, "k")
     return [(n, k, *fields, max(ns)) for n in ns for k in ks]
@@ -648,8 +650,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.threads < 1:  # every subcommand has --threads (_add_common)
+        # Every subcommand has --threads and --cap (_add_common).
+        if args.threads < 1:
             raise UsageError("--threads must be at least 1")
+        if args.cap < 1:
+            raise UsageError("--cap must be at least 1")
         return args.func(args)
     except ValueError as exc:
         print(f"fdensity: invalid configuration: {exc}", file=sys.stderr)

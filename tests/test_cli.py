@@ -184,6 +184,7 @@ def test_density_row_counts_once(monkeypatch, mode, trunc, walks, orders, genset
 
     monkeypatch.setattr(census, "_walk", counting_walk)
     monkeypatch.setattr(census, "count_series", counting_series)
+    census._walked.cache_clear()
     row = cli._density_row((10, 3, genset, mode, census.DEFAULT_CAP, "never", trunc))
     assert row["vertices"] == 11932
     assert seen == {"walks": walks, "orders": orders}
@@ -204,6 +205,46 @@ def test_isolated_table_builds_one_series(monkeypatch, tmp_path):
     assert rc == 0 and len(text.splitlines()) == 31
     assert set(orders) == {(5, 30)}
     assert series.count_series.cache_info().misses == 1
+
+
+def _record_walks(monkeypatch):
+    """The (depth, k) of every walk from an empty walk cache on."""
+    real = census._walk
+    depths = []
+
+    def counting_walk(n, k, table):
+        depths.append((n, k))
+        return real(n, k, table)
+
+    monkeypatch.setattr(census, "_walk", counting_walk)
+    census._walked.cache_clear()
+    return depths
+
+
+def test_density_table_walks_once(monkeypatch, capsys):
+    # Every row reads the one walk to the table's largest n.
+    depths = _record_walks(monkeypatch)
+    argv = ["density", "--nmax", "10", "--k", "3", "--mode", "both",
+            "--boundary", "never"]
+    assert cli.main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 11
+    assert depths == [(10, 3)]
+
+
+def test_walk_depth_stays_within_cap(monkeypatch, capsys):
+    # |B(9,3)| is over the cap, so rows 1..8 walk to their own n and row 9
+    # is refused as before, with the table unwritten.
+    depths = _record_walks(monkeypatch)
+    argv = ["density", "--nmax", "9", "--k", "3", "--mode", "both", "--cap", "2000",
+            "--boundary", "never"]
+    assert cli.main(argv) == 2
+    assert depths == [(n, 3) for n in range(1, 9)]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "fdensity: not certified within budget: "
+        "|B(9,3)| = 4512 exceeds enumeration cap 2000\n"
+    )
 
 
 def test_density_custom_row_embeds_once(monkeypatch, tmp_path):
@@ -470,6 +511,11 @@ def test_exit_codes(capsys):
     for threads in ("0", "-2"):
         assert cli.main(["density", "--n", "3", "--k", "1", "--threads", threads]) == 3
         assert "--threads must be at least 1" in capsys.readouterr().err
+    # The cap is a budget on every subcommand, also where dp ignores it.
+    for argv in (["enumerate", "--n", "3", "--k", "1"],
+                 ["density", "--n", "3", "--k", "1", "--mode", "dp"]):
+        assert cli.main(argv + ["--cap", "-5"]) == 3
+        assert "--cap must be at least 1" in capsys.readouterr().err
     # The series order is the table's largest n; no option sets it.
     assert cli.main(["density", "--n", "6", "--k", "2", "--trunc", "40"]) == 3
     argv = ["isolated", "--n", "6", "--k", "2", "--mode", "dp", "--trunc", "40"]

@@ -31,7 +31,27 @@ def _object_model_tallies(n: int, k: int):
 @given(n=st.integers(1, 9), k=st.integers(0, 4))
 def test_walk_matches_object_model(n, k):
     walked = census._walk(n, k, census._height_table(n, k))
-    assert walked == _object_model_tallies(n, k)
+    assert walked[n] == _object_model_tallies(n, k)
+
+
+def test_walk_tallies_every_depth():
+    # One walk to N tallies B(s, k) at every s <= N, slot 0 being empty.
+    oracle = {
+        (s, k): _object_model_tallies(s, k) for s in range(10) for k in range(5)
+    }
+    for n in range(1, 10):
+        for k in range(5):
+            walked = census._walk(n, k, census._height_table(n, k))
+            assert walked == [oracle[s, k] for s in range(n + 1)], (n, k)
+
+
+@pytest.fixture
+def fresh_walks():
+    """An empty walk cache, so that a patched walk really runs, and none of
+    its walks kept for later tests."""
+    census._walked.cache_clear()
+    yield
+    census._walked.cache_clear()
 
 
 def test_walk_agrees_with_series_at_n18():
@@ -39,27 +59,29 @@ def test_walk_agrees_with_series_at_n18():
     assert c.total == forests.count_bb(18, 4) == 90044420
 
 
-def test_bumped_table_breaks_total(monkeypatch):
+def test_bumped_table_breaks_total(monkeypatch, fresh_walks):
     n, k = 8, 3
     table = census._height_table(n, k)
-    assert census._walk(n, k, table)[0].total == forests.count_bb(n, k)
+    assert census._walk(n, k, table)[n][0].total == forests.count_bb(n, k)
     table[3][2] += 1
-    assert census._walk(n, k, table)[0].total != forests.count_bb(n, k)
+    assert census._walk(n, k, table)[n][0].total != forests.count_bb(n, k)
     # census_counts refuses the broken walk rather than reporting it.
     monkeypatch.setattr(census, "_height_table", lambda n, k: table)
     with pytest.raises(AssertionError):
         census.census_counts(n, k)
 
 
-def test_bumped_label_tally_breaks_identities(monkeypatch, capsys):
+def test_bumped_label_tally_breaks_identities(monkeypatch, capsys, fresh_walks):
     # Negative control: the walk's raw x1^-1 blocked count off by one
     # breaks the identity x1^-1 blocked = trivial, which census_counts
     # checks on every enumerate call.
     real = census._walk
 
     def bumped(*args):
-        tallies, blocked, sequences = real(*args)
-        return tallies, {**blocked, "x1^-1": blocked["x1^-1"] + 1}, sequences
+        return [
+            (tallies, {**blocked, "x1^-1": blocked["x1^-1"] + 1}, sequences)
+            for tallies, blocked, sequences in real(*args)
+        ]
 
     monkeypatch.setattr(census, "_walk", bumped)
     with pytest.raises(AssertionError, match="blocked-count identities"):
