@@ -22,9 +22,9 @@ census: for --census N:K, one walk census._walk(N, K) on the exact-height
 table _height_table(N, K), in seconds (minimum over the repeats), and the
 forests it tallies per second, summed over every n <= N.  The rows are
 n in [N-4, N], all read from that one walk, each with the walk's time and
-rate.  Every row's total must equal |B(n, K)|, and its tallies and
-per-label blocked counts must equal those the series read
-count_series(K, N).at(n) gives.
+rate.  Every row's total must equal |B(n, K)|, its tallies must equal
+those the series read count_series(K, N).at(n) gives, and its x1^-1
+blocked count must equal the series' trivial tally.
 
 series: for each N:K in --series, the three steps of count_series(K, N),
 each repeat starting from empty _phi_chain and count_series caches:
@@ -112,14 +112,14 @@ def bench_census(n: int, k: int, repeats: int) -> None:
         t0 = time.perf_counter()
         walked = census._walk(n, k, table)
         best = min(best, time.perf_counter() - t0)
-    rate = sum(tallies.total for tallies, _, _ in walked) / best
+    rate = sum(tallies.total for tallies, _ in walked) / best
     fam = series.count_series(k, n)
     _print_row(["n", "k", "|B(n,k)|", "walk (s)", "forests/s"])
     for nn in range(max(1, n - 4), n + 1):
-        tallies, blocked, _ = walked[nn]
+        tallies, merge_blocked = walked[nn]
         assert tallies.total == forests.count_bb(nn, k), "walk total != |B(n,k)|"
         dp = fam.at(nn)
-        assert tallies == dp and blocked == dp.per_label_blocked(), "walk != dp"
+        assert tallies == dp and merge_blocked == dp.trivial, "walk != dp"
         _print_row([nn, k, tallies.total, f"{best:.4f}", f"{rate:.3g}"])
 
 

@@ -5,7 +5,9 @@ B(n, k) by height profile (`_walk`), `dp` reads coefficients of the exact
 counting series; they must agree integer-for-integer.  Each route is built
 once per k for a whole table: one walk to the table's largest n tallies
 every smaller n on the way, as one truncated series holds every
-coefficient below its order.
+coefficient below its order.  The enumeration cap bounds that one walk,
+so a table whose largest |B(n, k)| is over the cap is refused before any
+row walks.
 
 Densities follow delta(Y) = degree_sum / #Y; together with the Cheeger
 count #d*Y (directed edges leaving Y) this satisfies
@@ -68,9 +70,7 @@ def _height_table(n: int, k: int) -> list[list[int]]:
     ]
 
 
-def _walk(
-    n: int, k: int, table: list[list[int]]
-) -> list[tuple[CensusTallies, dict[str, int], int]]:
+def _walk(n: int, k: int, table: list[list[int]]) -> list[tuple[CensusTallies, int]]:
     """Exhaustive tallies over B(s, k) for every s <= n, from one walk.
 
     The walk chooses, left to right, each tree's leaf count l and exact
@@ -79,7 +79,8 @@ def _walk(
     product of the table[l][h] entries along the way).  Every node is a
     forest: a prefix of trees with s leaves is a tree sequence of B(s, k),
     and the walk to depth n reaches each one exactly once, so each node
-    tallies its m marks into slot s.
+    tallies its m marks into slot s (and its one sequence into `edge`,
+    the marks on the first tree).
 
     The per-mark tally needs only the marked tree and its two neighbours:
     the mark's position, the marked tree being trivial, or a tree of
@@ -93,16 +94,12 @@ def _walk(
     node.
 
     x1^-1 is blocked at the last mark and at the left mark of every such
-    pair; x1bar^-1 at the first mark and at the right mark of every such
-    pair.  Both come from the one pair count, so their mirror equality
-    holds by construction, as first/last does (both are the sequence
-    count).  The identity census_counts really checks is x1^-1 blocked =
-    trivial; tests/test_walk.py keeps all six labels independent by
-    recounting them from the actions.
+    pair, so its blocked count is the pair count plus one per sequence.
+    It equals `trivial` by an identity of the series, which census_counts
+    checks; tests/test_walk.py recounts all six labels from the actions.
 
-    Returns, for s = 0..n, (tallies, blocked, sequences): the four
-    tallies; the blocked count of each of the six action labels; and the
-    number of unmarked tree sequences.  Slot 0 is all zero.
+    Returns, for s = 0..n, (tallies, merge_blocked): the four tallies and
+    the x1^-1 blocked count.  Slot 0 is all zero.
     """
     # fits[rem]: every (leaf count, height, count) of a tree within rem leaves
     fits = [
@@ -111,18 +108,18 @@ def _walk(
     ]
     total = [0] * (n + 1)
     trivial = [0] * (n + 1)
-    merge_blocked = [0] * (n + 1)
+    edge = [0] * (n + 1)
     isolated = [0] * (n + 1)
-    sequences = [0] * (n + 1)
+    merge_blocked = [0] * (n + 1)
 
     def rec(s, m, triv, pair, closed, last, left, w):
         top = last == k
         open_iso = last == 0 and (left or top)
         total[s] += w * m
         trivial[s] += w * triv
-        merge_blocked[s] += w * (pair + 1)
+        edge[s] += w
         isolated[s] += w * (closed + open_iso)
-        sequences[s] += w
+        merge_blocked[s] += w * (pair + 1)
         for l, h, c in fits[n - s]:
             b = top or h == k
             rec(s + l, m + 1, triv + (h == 0), pair + b, closed + (open_iso and b),
@@ -130,25 +127,14 @@ def _walk(
 
     for l, h, c in fits[n]:
         rec(l, 1, h == 0, 0, 0, h, True, c)
-    out = []
-    for s in range(n + 1):
-        tallies = CensusTallies(
-            total=total[s], trivial=trivial[s], edge=sequences[s], isolated=isolated[s]
-        )
-        blocked = {
-            "x0": sequences[s],
-            "x0^-1": sequences[s],
-            "x1": trivial[s],
-            "x1^-1": merge_blocked[s],
-            "x1bar": trivial[s],
-            "x1bar^-1": merge_blocked[s],
-        }
-        out.append((tallies, blocked, sequences[s]))
-    return out
+    return [
+        (CensusTallies(total[s], trivial[s], edge[s], isolated[s]), merge_blocked[s])
+        for s in range(n + 1)
+    ]
 
 
 @lru_cache(maxsize=None)
-def _walked(depth: int, k: int) -> list[tuple[CensusTallies, dict[str, int], int]]:
+def _walked(depth: int, k: int) -> list[tuple[CensusTallies, int]]:
     """_walk to depth on the exact-height table, once per (depth, k), as
     count_series holds one series per (k, order)."""
     return _walk(depth, k, _height_table(depth, k))
@@ -230,13 +216,17 @@ def census_counts(
 ) -> CensusCounts:
     """The tallies over B(n, k) by the chosen route.
 
-    The enumerate route also checks the walk's blocked count of every
-    action label against the tallies (the series identities).  trunc is
-    the dp series order (default n; larger values give the same
-    coefficients, the prefix of a truncated product is stable), and also
-    the enumerate walk's depth when |B(trunc, k)| is within cap (else the
-    walk goes to n): a table passes its largest n, so every row reads one
-    cached walk per k, as it reads one series.
+    trunc is the dp series order and the enumerate walk's depth (default
+    n; a larger order gives the same coefficients, as the prefix of a
+    truncated product is stable, and a deeper walk the same slot n): a
+    table passes its largest n, so every row reads one cached walk per k,
+    as it reads one series.  The cap bounds |B(trunc, k)|, the census the
+    walk builds, so enumerate and both raise CapExceeded when that is over
+    the cap, even if |B(n, k)| is within it.
+
+    The enumerate route checks the walk's total and edge tallies against
+    the recursion, and its x1^-1 blocked count against `trivial` (the
+    series identity; see CensusTallies.per_label_blocked).
     """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
@@ -249,24 +239,17 @@ def census_counts(
             raise AssertionError(f"enumerate/dp disagree at n={n} k={k}: {a} {b}")
         return a
     if mode == "enumerate":
-        estimate = _count_bb_within_cap(n, k, cap)
-        depth = n
-        if trunc is not None and trunc > n:
-            try:
-                _count_bb_within_cap(trunc, k, cap)
-                depth = trunc
-            except CapExceeded:
-                pass
-        tallies, blocked, seqs = _walked(depth, k)[n]
-        if tallies.total != estimate or seqs != _seq_counts(n, k)[0]:
+        depth = n if trunc is None else trunc
+        _count_bb_within_cap(depth, k, cap)
+        tallies, merge_blocked = _walked(depth, k)[n]
+        if (tallies.edge, tallies.total) != _seq_counts(n, k):
             raise AssertionError(
                 f"census walk counts disagree with recursion at n={n} k={k}"
             )
-        expected = tallies.per_label_blocked()
-        if blocked != expected:
+        if merge_blocked != tallies.trivial:
             raise AssertionError(
                 f"census walk breaks the blocked-count identities at n={n} "
-                f"k={k}: walked {blocked}, tallies give {expected}"
+                f"k={k}: x1^-1 blocked {merge_blocked}, trivial {tallies.trivial}"
             )
     elif mode == "dp":
         tallies = count_series(k, n if trunc is None else trunc).at(n)

@@ -2,9 +2,10 @@
 
 Subcommands: group-verify, xi, density, theorem1, theorem2, embed-verify,
 enumerate, isolated.  Exit codes: 0 success / claims certified; 2 a claim
-could not be certified within budget; 3 invalid configuration or an
-unwritable --out; 4 any other (internal) fault, reported in one stderr
-line without a traceback.
+could not be certified within budget; 3 invalid configuration (a
+UsageError, raised here for every bad input) or an unwritable --out; 4
+any other (internal) fault, reported in one stderr line without a
+traceback.
 
 Output is byte-identical for a fixed configuration regardless of
 --threads: work is distributed over rows and merged in input order, and
@@ -40,7 +41,7 @@ _PROVENANCE = {"enumerate": TAG_ENUM, "dp": TAG_DP, "both": f"{TAG_ENUM} {TAG_DP
 
 
 class UsageError(ValueError):
-    pass
+    """The command line asks for something invalid (exit 3)."""
 
 
 class OutputError(Exception):
@@ -234,8 +235,11 @@ def _density_row(job: tuple) -> dict:
     if emb is None:
         st, prov = counts.stats(genset), _PROVENANCE[mode]
     else:
+        # The statistics are enumerated on the image; the isolated, B' and
+        # doubling columns come from (or are checked against) the series
+        # unless the mode is enumerate.
         st = census.stats_elements(emb.image(), genset, emb.blocked)
-        prov = TAG_ENUM
+        prov = _PROVENANCE["enumerate" if mode == "enumerate" else "both"]
     row = {
         "n": n,
         "k": k,
@@ -267,10 +271,24 @@ def _density_row(job: tuple) -> dict:
 
 
 def cmd_density(args: argparse.Namespace) -> int:
+    # Rows parse the name again in their own process; this refuses a bad
+    # one as input before any row runs.
+    try:
+        group.by_name(args.genset)
+    except ValueError as exc:
+        raise UsageError(f"bad --genset {args.genset!r}: {exc}") from None
     jobs = _grid(args, args.genset, args.mode, args.cap, args.boundary)
     rows = _pmap(_density_row, jobs, args.threads)
     _emit(args, "density", rows, DENSITY_COLUMNS)
     return 0
+
+
+def _index(value: int, flag: str) -> int:
+    """The value of an n flag (at least 1) or a k flag (at least 0)."""
+    low = 1 if flag.startswith("--n") else 0
+    if value < low:
+        raise UsageError(f"{flag} must be at least {low}")
+    return value
 
 
 def _range_from(single: Optional[int], upto: Optional[int], name: str) -> list[int]:
@@ -278,13 +296,10 @@ def _range_from(single: Optional[int], upto: Optional[int], name: str) -> list[i
     if single is not None and upto is not None:
         raise UsageError(f"--{name} and --{name}max are mutually exclusive")
     if single is not None:
-        return [single]
+        return [_index(single, f"--{name}")]
     if upto is None:
         raise UsageError(f"one of --{name} / --{name}max is required")
-    low = 1 if name == "n" else 0
-    if upto < low:
-        raise UsageError(f"--{name}max must be at least {low}")
-    return list(range(low, upto + 1))
+    return list(range(1 if name == "n" else 0, _index(upto, f"--{name}max") + 1))
 
 
 def _grid(args: argparse.Namespace, *fields) -> list[tuple]:
@@ -292,7 +307,8 @@ def _grid(args: argparse.Namespace, *fields) -> list[tuple]:
     row reads the dp series and the census walk at the table's largest n,
     so each k builds its series once and walks once (the coefficients do
     not depend on the order, and the walk tallies every smaller n on the
-    way)."""
+    way).  The cap bounds that walk: if |B(max n, k)| is over it, the
+    table's first enumerated row is refused, before any walk."""
     ns = _range_from(args.n, args.nmax, "n")
     ks = _range_from(args.k, args.kmax, "k")
     return [(n, k, *fields, max(ns)) for n in ns for k in ks]
@@ -487,7 +503,7 @@ def cmd_embed_verify(args: argparse.Namespace) -> int:
     if args.list:
         if args.n is None or args.k is None:
             raise UsageError("--list requires explicit --n and --k")
-        n, k = args.n, args.k
+        n, k = _index(args.n, "--n"), _index(args.k, "--k")
         emb = census.embed(n, k, cap=args.cap)
         rows = [_embed_summary(n, k, emb)] + [
             {
@@ -504,8 +520,8 @@ def cmd_embed_verify(args: argparse.Namespace) -> int:
         _emit(args, "embed-verify", rows, EMBED_COLUMNS + ["forest", "element"])
         return 0
     # A lone --n or --k fixes that index; --nmax and --kmax have defaults.
-    ns = [args.n] if args.n is not None else _range_from(None, args.nmax, "n")
-    ks = [args.k] if args.k is not None else _range_from(None, args.kmax, "k")
+    ns = _range_from(args.n, args.nmax if args.n is None else None, "n")
+    ks = _range_from(args.k, args.kmax if args.k is None else None, "k")
     jobs = [(n, k, args.cap) for n in ns for k in ks]
     _emit(args, "embed-verify", _pmap(_embed_row, jobs, args.threads), EMBED_COLUMNS)
     return 0
@@ -516,12 +532,13 @@ def cmd_embed_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    items = forests.enumerate_bb(args.n, args.k, cap=args.cap)
+    k = _index(args.k, "--k")
+    items = forests.enumerate_bb(_index(args.n, "--n"), k, cap=args.cap)
     rows = [
         {
             "index": i,
             "forest": forests.encode_forest(f),
-            "isolated": "yes" if forests.is_isolated(f, args.k) else "no",
+            "isolated": "yes" if forests.is_isolated(f, k) else "no",
             "provenance": TAG_ENUM,
         }
         for i, f in enumerate(items)
@@ -570,10 +587,15 @@ def _add_common(p: argparse.ArgumentParser, fmt_default: str) -> None:
 
 
 def _tol(text: str) -> Fraction:
+    # argparse keeps an ArgumentTypeError's message in the UsageError its
+    # parser raises; any other error here it reports by the value alone.
     try:
-        return Fraction(text)
+        tol = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad tolerance {text!r}: {exc}") from None
+        raise argparse.ArgumentTypeError(f"bad tolerance {text!r}: {exc}") from None
+    if tol <= 0:
+        raise argparse.ArgumentTypeError(f"tolerance {text!r} is not positive")
+    return tol
 
 
 def build_parser() -> _Parser:
@@ -656,7 +678,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.cap < 1:
             raise UsageError("--cap must be at least 1")
         return args.func(args)
-    except ValueError as exc:
+    except UsageError as exc:
         print(f"fdensity: invalid configuration: {exc}", file=sys.stderr)
         return 3
     except OutputError as exc:

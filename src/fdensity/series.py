@@ -29,7 +29,9 @@ tally by an identity of the series, coefficient for coefficient:
     x1^-1     no merge with the right neighbour         = trivial
     x1bar^-1  no merge with the left neighbour          = trivial
 
-The census walk tallies all six labels and checks the three identities.
+The census walk counts x1^-1 blocked on its own, from adjacent tree
+pairs, and census_counts checks it against `trivial`; the tests recount
+all six labels from the actions.
 
 Support bound: Phi_k has no term above z^(2^k) (a tree of height <= k has
 at most 2^k leaves).  square() and geometric() clip their dot products to

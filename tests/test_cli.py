@@ -13,6 +13,7 @@ import pytest
 
 import fdensity
 from fdensity import census, cli, forests, group, series
+from fdensity.errors import CapExceeded
 
 
 def run(argv, tmp_path, name="out"):
@@ -153,7 +154,7 @@ def test_density_mode_dp_skips_boundary(tmp_path):
     [
         ("enumerate", None, 1, [], "symmetric"),
         ("both", None, 1, [10], "symmetric"),
-        ("both", 40, 1, [40], "symmetric"),
+        ("both", 12, 1, [12], "symmetric"),
         ("dp", None, 0, [10], "symmetric"),
         ("dp", 40, 0, [40], "symmetric"),
         ("both", None, 1, [10], "custom:x0,x1,x2"),
@@ -162,7 +163,7 @@ def test_density_mode_dp_skips_boundary(tmp_path):
     ids=[
         "enumerate-None-1-orders0",
         "both-None-1-orders1",
-        "both-40-1-orders2",
+        "both-12-1-orders2",
         "dp-None-0-orders3",
         "dp-40-0-orders4",
         "custom-both-None-1-orders5",
@@ -188,6 +189,15 @@ def test_density_row_counts_once(monkeypatch, mode, trunc, walks, orders, genset
     row = cli._density_row((10, 3, genset, mode, census.DEFAULT_CAP, "never", trunc))
     assert row["vertices"] == 11932
     assert seen == {"walks": walks, "orders": orders}
+
+
+def test_walk_depth_over_cap_is_refused(monkeypatch):
+    # The cap bounds |B(trunc, k)|, the census the walk builds, so a depth
+    # over it is refused before any walk, though |B(10, 3)| is within it.
+    depths = _record_walks(monkeypatch)
+    with pytest.raises(CapExceeded, match=r"\|B\(40,3\)\|"):
+        census.census_counts(10, 3, "both", census.DEFAULT_CAP, 40)
+    assert depths == []
 
 
 def test_isolated_table_builds_one_series(monkeypatch, tmp_path):
@@ -232,19 +242,65 @@ def test_density_table_walks_once(monkeypatch, capsys):
 
 
 def test_walk_depth_stays_within_cap(monkeypatch, capsys):
-    # |B(9,3)| is over the cap, so rows 1..8 walk to their own n and row 9
-    # is refused as before, with the table unwritten.
+    # |B(9,3)| is over the cap, so the table is refused on its first row,
+    # before any walk, with the table unwritten.
     depths = _record_walks(monkeypatch)
     argv = ["density", "--nmax", "9", "--k", "3", "--mode", "both", "--cap", "2000",
             "--boundary", "never"]
     assert cli.main(argv) == 2
-    assert depths == [(n, 3) for n in range(1, 9)]
+    assert depths == []
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
         "fdensity: not certified within budget: "
         "|B(9,3)| = 4512 exceeds enumeration cap 2000\n"
     )
+
+
+@pytest.mark.parametrize("cap, rc, walks", [(4512, 0, [(9, 3)]), (4511, 2, [])])
+def test_cap_bounds_the_table_walk(monkeypatch, capsys, cap, rc, walks):
+    # |B(9,3)| = 4512: at that cap the table walks once, to n = 9; one
+    # below it, the table is refused with no walk.
+    depths = _record_walks(monkeypatch)
+    argv = ["density", "--nmax", "9", "--k", "3", "--mode", "both", "--cap", str(cap),
+            "--boundary", "never"]
+    assert cli.main(argv) == rc
+    assert depths == walks
+    assert len(capsys.readouterr().out.splitlines()) == (10 if rc == 0 else 0)
+
+
+def test_table_over_default_cap_refused_before_walk(monkeypatch, capsys):
+    # Rows n <= 18 are within the default cap, but the table's largest n
+    # is not, so nothing is walked.
+    depths = _record_walks(monkeypatch)
+    argv = ["density", "--nmax", "21", "--k", "4", "--mode", "both",
+            "--boundary", "never"]
+    assert cli.main(argv) == 2
+    assert depths == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "fdensity: not certified within budget: "
+        "|B(21,4)| = 1953042636 exceeds enumeration cap 100000000\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "mode, provenance",
+    [
+        ("enumerate", "[exact-enumeration]"),
+        ("dp", "[exact-enumeration] [exact-dp]"),
+        ("both", "[exact-enumeration] [exact-dp]"),
+    ],
+)
+def test_custom_row_provenance(tmp_path, mode, provenance):
+    # A custom set's statistics are enumerated on the embedded image; its
+    # isolated, B' and doubling columns come from the chosen route.
+    rc, text = run(["density", "--n", "4", "--k", "2", "--genset", "custom:x0,x1",
+                    "--mode", mode, "--boundary", "never"], tmp_path)
+    assert rc == 0
+    (row,) = csv.DictReader(text.splitlines())
+    assert row["provenance"] == provenance
 
 
 def test_density_custom_row_embeds_once(monkeypatch, tmp_path):
@@ -534,6 +590,44 @@ def test_exit_codes(capsys):
     assert cli.main(["xi", "--kmax", "3", "--tol", "1e-2000"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and len(err) < 200 and "4096 bits" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["density", "--n", "0", "--k", "1"], "--n must be at least 1"),
+        (["density", "--n", "3", "--k", "-1"], "--k must be at least 0"),
+        (["density", "--n", "3", "--k", "1", "--genset", "bogus"],
+         "unknown generating set 'bogus'"),
+        (["density", "--n", "3", "--k", "1", "--genset", "custom:x0,x0"], "coincide"),
+        (["density", "--n", "3", "--k", "1", "--genset", "custom:"], "empty word"),
+        (["xi", "--tol", "0"], "--tol: tolerance '0' is not positive"),
+        (["enumerate", "--n", "0", "--k", "1"], "--n must be at least 1"),
+        (["embed-verify", "--n", "3", "--k", "-2"], "--k must be at least 0"),
+    ],
+)
+def test_bad_input_exits_3(capsys, argv, message):
+    # Each of these reached a library ValueError before the CLI checked it.
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fdensity: invalid configuration: ")
+    assert message in captured.err and captured.err.count("\n") == 1
+
+
+def test_internal_value_error_exits_4(monkeypatch, capsys):
+    # Only a UsageError is bad input; a ValueError from the library is a
+    # fault.
+    def broken(*args):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(census, "census_counts", broken)
+    assert cli.main(["density", "--n", "5", "--k", "1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "fdensity: internal invariant violated: ValueError('internal')\n"
+    )
 
 
 def test_unclassified_fault_exits_4(monkeypatch, capsys):

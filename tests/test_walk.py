@@ -1,6 +1,8 @@
 """The census walk against the object model, the series route, and a
 deliberately broken height table."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,9 +12,10 @@ from fdensity import census, cli, forests, series
 import oracles
 
 
-def _object_model_tallies(n: int, k: int):
-    """The walk's tallies, per-label blocked counts and sequence count,
-    recomputed forest by forest from the actions."""
+def _object_model_slot(n: int, k: int):
+    """The walk's slot n, (tallies, x1^-1 blocked), recomputed forest by
+    forest from the actions, once all six recounted labels are those the
+    tallies give and the number of tree sequences is the edge tally."""
     members = list(forests.iter_bb(n, k))
     tallies = series.CensusTallies(
         total=len(members),
@@ -24,20 +27,22 @@ def _object_model_tallies(n: int, k: int):
         label: sum(1 for f in members if oracles.apply_within(label, f, k) is None)
         for label in forests.ACTION_LABELS
     }
-    return tallies, blocked, len({f.trees for f in members})
+    assert blocked == tallies.per_label_blocked(), (n, k)
+    assert len({f.trees for f in members}) == tallies.edge, (n, k)
+    return tallies, blocked["x1^-1"]
 
 
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 9), k=st.integers(0, 4))
 def test_walk_matches_object_model(n, k):
     walked = census._walk(n, k, census._height_table(n, k))
-    assert walked[n] == _object_model_tallies(n, k)
+    assert walked[n] == _object_model_slot(n, k)
 
 
 def test_walk_tallies_every_depth():
     # One walk to N tallies B(s, k) at every s <= N, slot 0 being empty.
     oracle = {
-        (s, k): _object_model_tallies(s, k) for s in range(10) for k in range(5)
+        (s, k): _object_model_slot(s, k) for s in range(10) for k in range(5)
     }
     for n in range(1, 10):
         for k in range(5):
@@ -72,15 +77,14 @@ def test_bumped_table_breaks_total(monkeypatch, fresh_walks):
 
 
 def test_bumped_label_tally_breaks_identities(monkeypatch, capsys, fresh_walks):
-    # Negative control: the walk's raw x1^-1 blocked count off by one
-    # breaks the identity x1^-1 blocked = trivial, which census_counts
-    # checks on every enumerate call.
+    # Negative control: the walk's x1^-1 blocked count (its pair count
+    # plus one per sequence) off by one breaks the identity x1^-1 blocked
+    # = trivial, which census_counts checks on every enumerate call.
     real = census._walk
 
     def bumped(*args):
         return [
-            (tallies, {**blocked, "x1^-1": blocked["x1^-1"] + 1}, sequences)
-            for tallies, blocked, sequences in real(*args)
+            (tallies, merge_blocked + 1) for tallies, merge_blocked in real(*args)
         ]
 
     monkeypatch.setattr(census, "_walk", bumped)
@@ -88,3 +92,22 @@ def test_bumped_label_tally_breaks_identities(monkeypatch, capsys, fresh_walks):
         census.census_counts(8, 3)
     assert cli.main(["density", "--n", "8", "--k", "3", "--mode", "enumerate"]) == 4
     assert "blocked-count identities" in capsys.readouterr().err
+
+
+def test_bumped_edge_tally_disagrees_with_recursion(monkeypatch, capsys, fresh_walks):
+    # Negative control: the walk's edge tally off by one disagrees with the
+    # recursion's count of tree sequences, which census_counts checks on
+    # every enumerate call.
+    real = census._walk
+
+    def bumped(*args):
+        return [
+            (dataclasses.replace(tallies, edge=tallies.edge + 1), merge_blocked)
+            for tallies, merge_blocked in real(*args)
+        ]
+
+    monkeypatch.setattr(census, "_walk", bumped)
+    with pytest.raises(AssertionError, match="disagree with recursion"):
+        census.census_counts(8, 3)
+    assert cli.main(["density", "--n", "8", "--k", "3", "--mode", "both"]) == 4
+    assert "disagree with recursion" in capsys.readouterr().err
