@@ -28,11 +28,13 @@ blocked count must equal the series' trivial tally.
 
 series: for each N:K in --series, the three steps of count_series(K, N),
 each repeat starting from empty _phi_chain and count_series caches:
-the Phi chain phi(K, N), G = geometric(), and the S product
-(1 - Phi_(K-1)) G, in seconds (minimum over the repeats).  G and S must
-equal count_series(K, N), and every chain level must equal z plus the
-__mul__ square of the level before.  `--series 256:4 512:4 1024:4` times
-the dp route at the census walk's default height.
+the Phi chain phi(K, N), G = geometric(), and the S read _side (one dot
+product s_m = g_m - [z^m] Phi_(K-1) G per coefficient), in seconds
+(minimum over the repeats).  G and S must equal count_series(K, N), and
+every chain level must equal z plus the full-length convolution
+_conv(c, c, m) of the level c before, a kernel other than square()'s half
+products.  `--series 256:4 512:4 1024:4` times the dp route at the census
+walk's default height.
 
 xi: intervals.xi(k) for k = 1..kmax at the default tolerance, each repeat
 starting from an empty cache; seconds (minimum over the repeats) and the
@@ -135,16 +137,18 @@ def bench_series(cases: list[tuple[int, int]], repeats: int) -> None:
             t1 = time.perf_counter()
             g = p.geometric()
             t2 = time.perf_counter()
-            side = g - series.phi(k - 1, n) * g
+            side = series._side(g, series.phi(k - 1, n))
             t3 = time.perf_counter()
             best = [min(b, t) for b, t in zip(best, (t1 - t0, t2 - t1, t3 - t2))]
         fam = series.count_series(k, n)
         assert (fam.g, fam.side) == (g, side), "count_series != timed steps"
-        chain = series._phi_chain(n)
-        zs = series.z(n)
-        assert all(chain[j + 1] == zs + chain[j] * chain[j] for j in range(k)), (
-            "Phi chain level != z + __mul__ square of the level before"
-        )
+        chain = [level.coeffs for level in series._phi_chain(n)]
+        for c, level in zip(chain[:k], chain[1:]):
+            square = [series._conv(c, c, m) for m in range(n + 1)]
+            square[1] += 1
+            assert level == tuple(square), (
+                "Phi chain level != z + convolution square of the level before"
+            )
         _print_row([n, k, *(f"{b:.4f}" for b in best)])
 
 

@@ -29,6 +29,7 @@ from typing import Callable, Collection, Iterable, Mapping, Optional
 from .errors import CapExceeded
 from .forests import (
     ACTION_LABELS,
+    DEFAULT_CAP,
     ForestKey,
     MarkedForest,
     TreeTable,
@@ -46,7 +47,6 @@ from .group import (
 )
 from .series import CensusTallies, count_series
 
-DEFAULT_CAP = 10**8
 EMBED_N_CAP = 12
 
 # The generator each action label multiplies by, and the label of each.

@@ -397,9 +397,11 @@ def _theorem2_row(job: tuple[int, Fraction]) -> dict:
     return row
 
 
-def _theorem2_check_row(job: tuple[int, int, int]) -> dict:
-    n, k, cap = job
-    bound = census.census_counts(n, k, cap=cap).doubling_bound()
+def _theorem2_check_row(job: tuple[int, int, int, int]) -> dict:
+    """One boundary check; its census is read from the one walk to
+    --n-small per k, as in _grid."""
+    n, k, cap, n_small = job
+    bound = census.census_counts(n, k, cap=cap, trunc=n_small).doubling_bound()
     outer = census.outer_boundary_exact(
         n, k, group.GenSetSpec.extended(), cap=cap
     )
@@ -440,7 +442,7 @@ def cmd_theorem2(args: argparse.Namespace) -> int:
         r["below_1"] == "certified" for r in rows if r["k"] >= k0
     )
     check_jobs = [
-        (n, k, args.cap)
+        (n, k, args.cap, args.n_small)
         for n in range(1, args.n_small + 1)
         for k in range(0, min(3, args.kmax) + 1)
     ]

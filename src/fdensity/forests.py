@@ -44,15 +44,12 @@ LEAF: Tree = None
 
 ACTION_LABELS = ("x0", "x0^-1", "x1", "x1^-1", "x1bar", "x1bar^-1")
 
+# The largest census a caller builds unless it passes its own cap.
+DEFAULT_CAP = 10**8
+
 
 # ---------------------------------------------------------------------------
 # trees
-
-
-def leaves(t: Tree) -> int:
-    if t is None:
-        return 1
-    return leaves(t[0]) + leaves(t[1])
 
 
 def height(t: Tree) -> int:
@@ -126,13 +123,6 @@ class MarkedForest:
             raise ValueError("a forest has at least one tree")
         if not 0 <= self.mark < len(self.trees):
             raise ValueError(f"mark {self.mark} out of range")
-
-    @property
-    def n(self) -> int:
-        return sum(leaves(t) for t in self.trees)
-
-    def __str__(self) -> str:
-        return encode_forest(self)
 
 
 def encode_forest(f: MarkedForest) -> str:
@@ -307,7 +297,7 @@ def iter_bb(n: int, k: int) -> Iterator[MarkedForest]:
             yield MarkedForest(seq, m)
 
 
-def enumerate_bb(n: int, k: int, cap: int = 10**8) -> list[MarkedForest]:
+def enumerate_bb(n: int, k: int, cap: int = DEFAULT_CAP) -> list[MarkedForest]:
     """All of B(n, k) in encode-lex order; refuses if the count exceeds cap."""
     _count_bb_within_cap(n, k, cap)
     out = list(iter_bb(n, k))

@@ -33,10 +33,13 @@ The census walk counts x1^-1 blocked on its own, from adjacent tree
 pairs, and census_counts checks it against `trivial`; the tests recount
 all six labels from the actions.
 
-Support bound: Phi_k has no term above z^(2^k) (a tree of height <= k has
-at most 2^k leaves).  square() and geometric() clip their dot products to
-the last nonzero coefficient, so for 2^k below the series order the chain
-and G cost less than a full-order schoolbook product.
+The module has no general series product: its kernels are square() for
+the Phi chain, geometric() for G, and the dot product _conv, which reads
+each coefficient of S = G - Phi_{k-1} G and each tally.  Support bound:
+Phi_k has no term above z^(2^k) (a tree of height <= k has at most 2^k
+leaves).  square(), geometric() and the S read clip their dot products
+to the last nonzero coefficient, so for 2^k below the series order they
+cost less than a full-order schoolbook product.
 """
 
 from __future__ import annotations
@@ -69,31 +72,6 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({list(self.coeffs)})"
-
-    def _check(self, other: "TruncatedSeries") -> None:
-        if self.trunc != other.trunc:
-            raise ValueError("truncation orders differ")
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        return TruncatedSeries(a + b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        return TruncatedSeries(a - b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        n = self.trunc
-        out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncatedSeries(out)
 
     def square(self) -> "TruncatedSeries":
         """self * self by half dot products: each cross term a_i a_(m-i)
@@ -139,10 +117,6 @@ def zero(trunc: int) -> TruncatedSeries:
     return TruncatedSeries([0] * (trunc + 1))
 
 
-def one(trunc: int) -> TruncatedSeries:
-    return TruncatedSeries([1] + [0] * trunc)
-
-
 def z(trunc: int) -> TruncatedSeries:
     if trunc < 1:
         raise ValueError("truncation order must be at least 1")
@@ -159,13 +133,14 @@ def phi(k: int, trunc: int) -> TruncatedSeries:
     """Phi_k truncated; [z^n] counts binary trees with n leaves, height <= k.
 
     Each Phi_k not yet built costs one square() of the one before, in a
-    loop, so no recursion depth grows with k.
+    loop, so no recursion depth grows with k.  The square has no term
+    below z^2, so adding z sets its coefficients 0 and 1.
     """
     if k < 0:
         return zero(trunc)
     chain = _phi_chain(trunc)
     while len(chain) <= k:
-        chain.append(z(trunc) + chain[-1].square())
+        chain.append(TruncatedSeries((0, 1) + chain[-1].square().coeffs[2:]))
     return chain[k]
 
 
@@ -174,6 +149,14 @@ def _conv(a: tuple, b: tuple, m: int) -> int:
     if m < 0:
         return 0
     return sum(map(mul, a[: m + 1], b[m::-1]))
+
+
+def _side(g: TruncatedSeries, prev: TruncatedSeries) -> TruncatedSeries:
+    """S = (1 - prev) G one coefficient at a time, s_m = g_m - [z^m] prev G,
+    each a dot product over the support of prev."""
+    p = prev.coeffs[: _top(prev.coeffs) + 1]
+    gc = g.coeffs
+    return TruncatedSeries(gm - _conv(p, gc, m) for m, gm in enumerate(gc))
 
 
 # The tally equal to each action label's blocked count: by definition for
@@ -246,10 +229,10 @@ def count_series(k: int, trunc: int) -> CountSeriesFamily:
     Phi_k G = G - 1 and Phi_{k-1}^2 = Phi_k - z reduce these to the forms
     in CountSeriesFamily.at: the x1^-1 series, and its mirror x1bar^-1,
     equal z G^2 = trivial coefficientwise, which realises the per-label
-    boundary balance exactly rather than just asymptotically.
+    boundary balance exactly rather than just asymptotically.  S is read
+    by dot products (_side).
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     g = phi(k, trunc).geometric()
-    side = g - phi(k - 1, trunc) * g
-    return CountSeriesFamily(g=g, side=side)
+    return CountSeriesFamily(g=g, side=_side(g, phi(k - 1, trunc)))

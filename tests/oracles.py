@@ -1,11 +1,14 @@
 """Test oracles: the object model of the forest actions, the forest
-decoder, the normal-form conditions, balls in F and the Catalan numbers.
+decoder, the normal-form conditions, balls in F, the Catalan numbers and
+the ring arithmetic of truncated series.
 
 The package computes the actions one way only, `forests.TreeTable.moves`
 on interned trees, and reads isolation from tree heights.  Here the six
 actions are written again from their definitions on nested-pair trees,
 so the tests can check the package against an implementation that does
-not change along with it.
+not change along with it.  Likewise the package has no general series
+product (`series` squares, inverts and reads dot products); here the
+schoolbook product is written from its definition.
 """
 
 from __future__ import annotations
@@ -179,3 +182,44 @@ def ball(genset: GenSetSpec, radius: int, cap: int = 10**7) -> dict[NormalForm, 
 
 def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
+
+
+class Series:
+    """A polynomial in z modulo z^(trunc+1) with the ring operations
+    written from their definitions: the product is the schoolbook sum
+    out[i + j] += a[i] b[j] over i + j <= trunc, with no support clip."""
+
+    def __init__(self, coeffs):
+        self.coeffs = tuple(coeffs)
+
+    @property
+    def trunc(self) -> int:
+        return len(self.coeffs) - 1
+
+    def __getitem__(self, n: int) -> int:
+        return self.coeffs[n]
+
+    def _order(self, other: "Series") -> int:
+        if self.trunc != other.trunc:
+            raise ValueError("truncation orders differ")
+        return self.trunc
+
+    def __add__(self, other: "Series") -> "Series":
+        self._order(other)
+        return Series(a + b for a, b in zip(self.coeffs, other.coeffs))
+
+    def __sub__(self, other: "Series") -> "Series":
+        self._order(other)
+        return Series(a - b for a, b in zip(self.coeffs, other.coeffs))
+
+    def __mul__(self, other: "Series") -> "Series":
+        n = self._order(other)
+        out = [0] * (n + 1)
+        for i in range(n + 1):
+            for j in range(n + 1 - i):
+                out[i + j] += self.coeffs[i] * other.coeffs[j]
+        return Series(out)
+
+
+def series_one(trunc: int) -> Series:
+    return Series([1] + [0] * trunc)

@@ -1,10 +1,15 @@
-"""The benchmark scripts still run against the library they time."""
+"""The benchmark scripts still run against the library they time, and
+the perfbench tracer still finds the functions it wraps."""
 
+import importlib
+import importlib.util
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from fdensity import census
 from fdensity.forests import count_bb
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -75,3 +80,23 @@ def test_bench_layers_runs():
     # The census layer walks B(n, 3) for n = 4..8; its fifth row is n = 8.
     row = _table_row(lines, "walk (s)", 5)
     assert (row["n"], row["k"], row["|B(n,k)|"]) == ("8", "3", str(count_bb(8, 3)))
+
+
+def _params(fn):
+    return list(inspect.signature(fn).parameters)
+
+
+def test_tracer_targets_resolve():
+    # perfbench/tracer.py wraps each (module, attr) of TARGETS; one that is
+    # missing reads as null metrics while the traced run still exits 0.
+    path = ROOT / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, attr, _ in tracer.TARGETS:
+        assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"
+    # The tracer keys spans by the first two bound arguments.
+    assert _params(census.census_counts)[:2] == ["n", "k"]
+    assert "mode" in _params(census.census_counts)
+    assert _params(census.embed)[:2] == ["n", "k"]
+    assert _params(census.count_series)[:2] == ["k", "trunc"]

@@ -421,6 +421,14 @@ def test_theorem2_meta(tmp_path):
     assert payload["meta"]["boundary_checks_pass"] is True
 
 
+def test_theorem2_checks_walk_once_per_k(monkeypatch, tmp_path):
+    # The check rows of each k read one walk to --n-small.
+    depths = _record_walks(monkeypatch)
+    rc, _ = run(["theorem2", "--kmax", "8", "--n-small", "5"], tmp_path)
+    assert rc == 0
+    assert depths == [(5, 0), (5, 1), (5, 2), (5, 3)]
+
+
 def test_embed_verify_and_controls(tmp_path):
     rc, text = run(["embed-verify", "--nmax", "4", "--kmax", "2"], tmp_path)
     assert rc == 0

@@ -39,7 +39,7 @@ def test_count_trees_exact_height():
 
 def test_forest_codec_round_trip_and_errors():
     f = oracles.decode_forest("(..) *. ((..).)")
-    assert f.n == 6
+    assert forests.encode_forest(f).count(".") == 6
     assert f.mark == 1
     assert forests.encode_forest(f) == "(..) *. ((..).)"
     with pytest.raises(ValueError):

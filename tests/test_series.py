@@ -9,23 +9,25 @@ from hypothesis import strategies as st
 from fdensity import census, cli, forests, series
 
 import oracles
+from oracles import Series, series_one
 
 
 def test_series_arithmetic():
     a = series.TruncatedSeries((1, 2, 3))
-    b = series.TruncatedSeries((0, 1, 0))
     assert a.trunc == 2
+    assert a[2] == 3
+    # The ring operations live in the oracle, which the tests below use.
+    a, b = Series(a.coeffs), Series((0, 1, 0))
     assert (a + b).coeffs == (1, 3, 3)
     assert (a - b).coeffs == (1, 1, 3)
     assert (a * b).coeffs == (0, 1, 2)
-    assert a[2] == 3
 
 
 def test_geometric_requires_zero_constant_term():
     inv = series.z(5).geometric()  # 1/(1-z) through z^5
     assert inv.coeffs == (1, 1, 1, 1, 1, 1)
     with pytest.raises(ValueError):
-        series.one(4).geometric()
+        series.TruncatedSeries((1, 0, 0, 0, 0)).geometric()
 
 
 @given(st.lists(st.integers(-9, 9), min_size=1, max_size=8))
@@ -34,7 +36,7 @@ def test_geometric_inverts(coeffs):
     f = series.TruncatedSeries(tuple([0] + coeffs))
     g = f.geometric()
     # g * (1 - f) = 1
-    product = g * (series.one(f.trunc) - f)
+    product = Series(g.coeffs) * (series_one(f.trunc) - Series(f.coeffs))
     assert product.coeffs[0] == 1
     assert all(c == 0 for c in product.coeffs[1:])
 
@@ -53,14 +55,14 @@ _supported = st.builds(
 @given(_supported)
 @settings(max_examples=120, deadline=None)
 def test_square_matches_product(coeffs):
-    f = series.TruncatedSeries(coeffs)
-    assert f.square() == f * f
+    f = Series(coeffs)
+    assert series.TruncatedSeries(coeffs).square().coeffs == (f * f).coeffs
 
 
 @pytest.mark.parametrize("coeffs", [(0,), (3,), (-2,), (0, 0, 0, 0), (1, 0, 0)])
 def test_square_zero_and_order_zero(coeffs):
-    f = series.TruncatedSeries(coeffs)
-    assert f.square() == f * f
+    f = Series(coeffs)
+    assert series.TruncatedSeries(coeffs).square().coeffs == (f * f).coeffs
 
 
 def _geometric_oracle(f):
@@ -80,7 +82,7 @@ def test_geometric_matches_full_recurrence(coeffs, pad):
 
 
 def test_geometric_of_zero_series():
-    assert series.zero(6).geometric() == series.one(6)
+    assert series.zero(6).geometric().coeffs == series_one(6).coeffs
 
 
 def test_phi_matches_count_trees_below_order():
@@ -113,7 +115,7 @@ def test_phi_counts_trees_by_exact_height_cumulative():
 def _psi(k, trunc):
     """Psi_k = Phi_k/(1-Phi_k)^2, whose [z^n] is |B(n, k)|."""
     p = series.phi(k, trunc)
-    return p * p.geometric().square()
+    return Series(p.coeffs) * Series(p.geometric().square().coeffs)
 
 
 def test_psi_counts_bb():
@@ -127,7 +129,8 @@ def test_psi_counts_bb():
 def test_catalan_series_identity():
     # C(z) = sum c_n z^(n+1) satisfies C = z + C^2.
     c = series.TruncatedSeries([0] + [oracles.catalan(n) for n in range(16)])
-    assert c == series.z(16) + c.square()
+    zs = Series(series.z(16).coeffs)
+    assert (zs + Series(c.square().coeffs)).coeffs == c.coeffs
     assert [oracles.catalan(n) for n in range(7)] == [1, 1, 2, 5, 14, 42, 132]
 
 
@@ -146,13 +149,13 @@ def _inclusion_exclusion_family(k, trunc):
     inclusion-exclusion, built product by product from Phi_k and
     Phi_{k-1}: an oracle independent of the G/S reduction in
     count_series."""
-    p = series.phi(k, trunc)
-    pprev = series.phi(k - 1, trunc)
-    g = p.geometric()
-    zs = series.z(trunc)
+    p = Series(series.phi(k, trunc).coeffs)
+    pprev = Series(series.phi(k - 1, trunc).coeffs)
+    g = Series(series.phi(k, trunc).geometric().coeffs)
+    zs = Series(series.z(trunc).coeffs)
     edge = p * g
     merge = edge + (p * p - pprev * pprev) * g * g
-    side = series.one(trunc) + (p - pprev) * g
+    side = series_one(trunc) + (p - pprev) * g
     return {
         "total": p * g * g,
         "isolated": side * zs * side,
@@ -173,6 +176,19 @@ def test_count_series_matches_inclusion_exclusion():
             t = fam.at(n)
             read = {"total": t.total, "isolated": t.isolated, **t.per_label_blocked()}
             assert read == {name: s[n] for name, s in oracle.items()}, (k, n)
+
+
+@pytest.mark.parametrize("k", range(0, 9))
+def test_side_read_matches_oracle_product(k):
+    # S = (1 - Phi_{k-1}) G by the schoolbook product, at orders below, at
+    # and above 2^(k-1), the last power in Phi_{k-1}; Phi_{-1} = 0 gives
+    # S = G at k = 0, and at order 1 every Phi is z alone.
+    half = 1 << max(k - 1, 0)
+    for n in sorted({1, max(1, half - 1), half, half + 1, 2 * half + 3}):
+        fam = series.count_series(k, n)
+        prev = Series(series.phi(k - 1, n).coeffs)
+        oracle = (series_one(n) - prev) * Series(fam.g.coeffs)
+        assert fam.side.coeffs == oracle.coeffs, (k, n)
 
 
 def test_count_series_at_rejects_out_of_order():
