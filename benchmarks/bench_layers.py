@@ -15,8 +15,10 @@ blocked) that outer_boundary_exact makes, each in seconds (minimum over
 the repeats), and the group.multiply calls of outer_boundary_exact,
 counted in one more untimed pass.  The BFS multiplies each unblocked
 (forest, label) pair and the statistics pass each blocked one, so the
-count must be 6 |B(n', k')| summed over the grid; every boundary must stay
-within the doubling bound of theorem2.
+count must be 6 |B(n', k')| summed over the grid; every boundary must
+equal the doubling bound of theorem2.  The last column is the tracemalloc
+peak of one more untimed statistics pass at (n, k) itself, the embedding
+built before tracing starts, in MB.
 
 census: for --census N:K, one walk census._walk(N, K) on the exact-height
 table _height_table(N, K), in seconds (minimum over the repeats), and the
@@ -45,6 +47,7 @@ of theorem1, whenever kmax >= 48.
 
 import argparse
 import time
+import tracemalloc
 
 from fdensity import census, forests, group, intervals, series
 
@@ -100,11 +103,21 @@ def bench_embedding(n: int, k: int, repeats: int) -> None:
         census.multiply = real
     counts = [census.census_counts(nn, kk) for nn, kk in grid]
     assert calls == 6 * sum(c.total for c in counts), "multiply calls != 6 |B|"
-    assert all(o <= c.doubling_bound() for o, c in zip(outer, counts)), (
-        "outer boundary above the doubling bound"
+    assert all(o == c.doubling_bound() for o, c in zip(outer, counts)), (
+        "outer boundary differs from the doubling bound"
     )
-    _print_row(["n <=", "k <=", "embed (s)", "stats (s)", "multiplies"])
-    _print_row([n, k, f"{best_embed:.4f}", f"{best_stats:.4f}", calls])
+
+    emb = census.embed(n, k)
+    tracemalloc.start()
+    try:
+        census.stats_elements(emb.image(), ext, emb.blocked)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _print_row(["n <=", "k <=", "embed (s)", "stats (s)", "multiplies", "peak (MB)"])
+    _print_row(
+        [n, k, f"{best_embed:.4f}", f"{best_stats:.4f}", calls, f"{peak / 1e6:.2f}"]
+    )
 
 
 def bench_census(n: int, k: int, repeats: int) -> None:

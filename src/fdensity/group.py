@@ -82,6 +82,20 @@ class NormalForm(NamedTuple):
 IDENTITY = NormalForm((), ())
 
 
+def compact_key(nf: NormalForm) -> bytes | NormalForm:
+    """A hashable key that identifies nf among normal forms, small to store.
+
+    bytes((len(pos), *pos, *neg)): the length prefix says where pos ends,
+    so distinct normal forms give distinct keys.  bytes() refuses a value
+    of 256 or more, and then nf itself is the key; a bytes key never
+    equals a tuple, so the two kinds cannot collide either.
+    """
+    try:
+        return bytes((len(nf.pos), *nf.pos, *nf.neg))
+    except ValueError:
+        return nf
+
+
 def letters(nf: NormalForm) -> Word:
     """The normal form spelled as a word (positive part, then inverse part)."""
     return tuple((i, 1) for i in nf.pos) + tuple((j, -1) for j in reversed(nf.neg))

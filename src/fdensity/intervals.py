@@ -261,7 +261,7 @@ def xi(k: int, tol: Fraction = DEFAULT_TOL) -> CertifiedInterval:
     if _phi_cmp_one(k, a, p) != -1 or _phi_cmp_one(k, b, p) != 1:
         raise AssertionError("bracket endpoints failed to certify")
     lo, hi = _certified_cuts(k, a, b, p)
-    while Fraction(b - a, 1 << p) > tol:
+    while (b - a) * tol.denominator > tol.numerator << p:
         m = (a + b) // 2
         # A one-ulp bracket cannot shrink further at this precision.
         if m in (a, b):

@@ -4,7 +4,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdensity import census, group
@@ -98,6 +98,25 @@ def test_normal_form_round_trips_through_text(letters):
     g = group.normalize(tuple(letters))
     assert oracles.is_normal(g)
     assert group.parse_nf(group.format_nf(g)) == g
+
+
+_wide_words = st.lists(
+    st.tuples(
+        st.one_of(st.integers(0, 4), st.integers(250, 260)), st.sampled_from((1, -1))
+    ),
+    max_size=6,
+)
+
+
+@given(st.lists(_wide_words, max_size=40))
+@example([[], [(1, 1)], [(1, -1)], [(1, 1), (2, -1)], [(1, 1), (2, 1)], [(2, -1)]])
+@example([[(300, 1)], [(300, -1)], [(0, 1), (255, -1)], [(2, 1), (300, -1)]])
+@settings(max_examples=150, deadline=None)
+def test_compact_key_is_injective(words):
+    # Without the length prefix, pos could end anywhere: x1 x2 and
+    # x1 x2^-1 would both read b"\x01\x02", and x1 and x1^-1 b"\x01".
+    elements = {group.normalize(tuple(w)) for w in words}
+    assert len({group.compact_key(g) for g in elements}) == len(elements)
 
 
 @given(
