@@ -359,6 +359,24 @@ def test_large_n_refused_by_cap(capsys):
     assert "exceeds enumeration cap" in capsys.readouterr().err
 
 
+def test_cap_refuses_from_bb2_without_exact_count(monkeypatch, capsys):
+    # |B(600, 2)| is already over the default cap, and the exact
+    # |B(600, 24)| costs n^2 min(k, n) steps, so it is never counted.
+    asked = []
+    real = forests._seq_counts
+
+    def recording(n, k):
+        asked.append((n, k))
+        return real(n, k)
+
+    monkeypatch.setattr(forests, "_seq_counts", recording)
+    assert cli.main(["isolated", "--nmax", "600", "--k", "24", "--mode", "both"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "|B(600,24)| >= |B(600,2)| = " in err
+    assert (600, 2) in asked and (600, 24) not in asked
+
+
 def test_density_custom_genset(tmp_path):
     rc, text = run(
         ["density", "--n", "4", "--k", "1", "--genset", "custom:x0,x1,x2"], tmp_path
@@ -538,12 +556,20 @@ TABLE_ARGV = {
     "density": ["density", "--nmax", "12", "--kmax", "4", "--genset", "symmetric",
                 "--mode", "enumerate", "--boundary", "never"],
     "isolated": ["isolated", "--nmax", "12", "--kmax", "4", "--mode", "enumerate"],
+    # The series route's tables, read from count_series.
+    "density-dp": ["density", "--n", "300", "--kmax", "8", "--genset", "symmetric",
+                   "--mode", "dp"],
+    "isolated-dp": ["isolated", "--nmax", "64", "--kmax", "6", "--mode", "dp"],
 }
 TABLE_SHA256 = {
     ("density", "csv"): "ab33dee132d7f5f14ba5abb365ab114bff47458146d514eec30d2aa2f965f4d1",
     ("density", "json"): "de5846c3324b9ad554df42fbe312a540e755cdc9a6801529b65c86329ca43533",
     ("isolated", "csv"): "dacff0d726e35008d5b20c3c6376654a6a1a27670ecb641c8dd3f38340c4959f",
     ("isolated", "json"): "16124252e818c6c6fe1df5f9bf7ee1c7be1d86ed929ea81b6696c6650628db1a",
+    ("density-dp", "csv"): "ac1881e809525e6538ac411d62fd2e69df04d475dcca8e4d8d408eba291b2cdb",
+    ("density-dp", "json"): "04b4c33f5980fa5f81ce19aa63f0d57378610b3f5a0b7e9d339e9c944e210b60",
+    ("isolated-dp", "csv"): "f589e51e67cb088192905251a1159714ca7504b0d01434392e726b218592bf81",
+    ("isolated-dp", "json"): "d95a9f8b5fee3e48597920e661de53b108a4a4ce7108656a96181ecd1ebcebe5",
 }
 
 

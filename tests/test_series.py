@@ -197,6 +197,19 @@ def test_count_series_at_rejects_out_of_order():
         fam.at(9)
 
 
+@pytest.mark.parametrize("k", [0, 1, 5])
+def test_series_refuse_order_zero(k):
+    with pytest.raises(ValueError, match="truncation order must be at least 1"):
+        series.phi(k, 0)
+    with pytest.raises(ValueError, match="truncation order must be at least 1"):
+        series.count_series(k, 0)
+
+
+def test_count_series_refuses_negative_k():
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        series.count_series(-1, 4)
+
+
 def test_count_series_family_identities():
     for k in range(0, 6):
         fam = series.count_series(k, 12)
