@@ -30,8 +30,8 @@ blocked count must equal the series' trivial tally.
 
 series: for each N:K in --series, the three steps of count_series(K, N),
 each repeat starting from empty _phi_chain and count_series caches:
-the Phi chain phi(K, N), G = geometric(), and the S read _side (one dot
-product s_m = g_m - [z^m] Phi_(K-1) G per coefficient), in seconds
+the Phi chain phi(K, N), G = geometric(phi(K, N)), and the S read _side
+(one dot product s_m = g_m - [z^m] Phi_(K-1) G per coefficient), in seconds
 (minimum over the repeats).  G and S must equal count_series(K, N), and
 every chain level must equal z plus the full-length convolution
 _conv(c, c, m) of the level c before, a kernel other than square()'s half
@@ -148,14 +148,14 @@ def bench_series(cases: list[tuple[int, int]], repeats: int) -> None:
             t0 = time.perf_counter()
             p = series.phi(k, n)
             t1 = time.perf_counter()
-            g = p.geometric()
+            g = series.geometric(p)
             t2 = time.perf_counter()
             side = series._side(g, series.phi(k - 1, n))
             t3 = time.perf_counter()
             best = [min(b, t) for b, t in zip(best, (t1 - t0, t2 - t1, t3 - t2))]
         fam = series.count_series(k, n)
         assert (fam.g, fam.side) == (g, side), "count_series != timed steps"
-        chain = [level.coeffs for level in series._phi_chain(n)]
+        chain = series._phi_chain(n)
         for c, level in zip(chain[:k], chain[1:]):
             square = [series._conv(c, c, m) for m in range(n + 1)]
             square[1] += 1

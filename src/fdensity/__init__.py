@@ -47,7 +47,7 @@ from .forests import (
     is_isolated,
     iter_bb,
 )
-from .series import TruncatedSeries, count_series, phi
+from .series import count_series, phi
 from .intervals import (
     DEFAULT_TOL,
     CertifiedInterval,
@@ -82,7 +82,6 @@ __all__ = [
     "NormalForm",
     "PrecisionExhausted",
     "SubgraphStats",
-    "TruncatedSeries",
     "by_name",
     "census_counts",
     "commutator",

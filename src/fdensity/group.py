@@ -69,9 +69,6 @@ class NormalForm(NamedTuple):
     pos: tuple[int, ...]
     neg: tuple[int, ...]
 
-    def __mul__(self, other: "NormalForm") -> "NormalForm":
-        return multiply(self, other)
-
     def is_identity(self) -> bool:
         return not self.pos and not self.neg
 

@@ -1,5 +1,8 @@
 """Exact truncated power series over the integers, and the tree series.
 
+A series through z^trunc is the tuple of its trunc + 1 int coefficients,
+the constant term first; the kernels below take and return such tuples.
+
 Phi_k(z) counts rooted binary trees of height <= k by number of leaves:
 Phi_0 = z and Phi_k = z + Phi_{k-1}^2.  The marked-forest counting series
 
@@ -33,13 +36,13 @@ The census walk counts x1^-1 blocked on its own, from adjacent tree
 pairs, and census_counts checks it against `trivial`; the tests recount
 all six labels from the actions.
 
-The module has no general series product: its kernels are square() for
-the Phi chain, geometric() for G, and the dot product _conv, which reads
-each coefficient of S = G - Phi_{k-1} G and each tally.  Support bound:
-Phi_k has no term above z^(2^k) (a tree of height <= k has at most 2^k
-leaves).  square(), geometric() and the S read clip their dot products
-to the last nonzero coefficient, so for 2^k below the series order they
-cost less than a full-order schoolbook product.
+The module has no general series product: its kernels are the functions
+square() for the Phi chain, geometric() for G, and the dot product _conv,
+which reads each coefficient of S = G - Phi_{k-1} G and each tally.
+Support bound: Phi_k has no term above z^(2^k) (a tree of height <= k
+has at most 2^k leaves).  square(), geometric() and the S read clip their
+dot products to the last nonzero coefficient, so for 2^k below the series
+order they cost less than a full-order schoolbook product.
 """
 
 from __future__ import annotations
@@ -49,60 +52,37 @@ from functools import lru_cache
 from operator import mul
 
 
-class TruncatedSeries:
-    """A polynomial in z modulo z^(trunc+1), with exact int coefficients."""
+def square(a: tuple) -> tuple:
+    """The square of the series a, to its order, by half dot products: each
+    cross term a_i a_(m-i) once, doubled, plus a_(m/2)^2 for even m; i runs
+    over the support."""
+    n = len(a) - 1
+    top = _top(a)
+    out = [0] * (n + 1)
+    for m in range(min(n, 2 * top) + 1):
+        lo = max(0, m - top)
+        half = (m + 1) // 2
+        c = 2 * sum(map(mul, a[lo:half], a[m - lo : m - half : -1]))
+        if m % 2 == 0:
+            c += a[m // 2] ** 2
+        out[m] = c
+    return tuple(out)
 
-    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs):
-        self.coeffs = tuple(coeffs)
+def geometric(a: tuple) -> tuple:
+    """1 / (1 - a) to the order of a; requires zero constant term.
 
-    @property
-    def trunc(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, n: int) -> int:
-        return self.coeffs[n]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TruncatedSeries) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries({list(self.coeffs)})"
-
-    def square(self) -> "TruncatedSeries":
-        """self * self by half dot products: each cross term a_i a_(m-i)
-        once, doubled, plus a_(m/2)^2 for even m; i runs over the support."""
-        a = self.coeffs
-        n = self.trunc
-        top = _top(a)
-        out = [0] * (n + 1)
-        for m in range(min(n, 2 * top) + 1):
-            lo = max(0, m - top)
-            half = (m + 1) // 2
-            c = 2 * sum(map(mul, a[lo:half], a[m - lo : m - half : -1]))
-            if m % 2 == 0:
-                c += a[m // 2] ** 2
-            out[m] = c
-        return TruncatedSeries(out)
-
-    def geometric(self) -> "TruncatedSeries":
-        """1 / (1 - self); requires zero constant term.
-
-        out[m] = sum of c_i out[m-i] over 1 <= i <= min(m, top), where top
-        is the last nonzero index of self.
-        """
-        if self.coeffs[0] != 0:
-            raise ValueError("geometric() needs zero constant term")
-        c = self.coeffs[1 : _top(self.coeffs) + 1]
-        out = [1]
-        for _ in range(self.trunc):
-            # map stops at the shorter of c_1..c_top and out[m-1], ..., out[0].
-            out.append(sum(map(mul, c, reversed(out))))
-        return TruncatedSeries(out)
+    out[m] = sum of c_i out[m-i] over 1 <= i <= min(m, top), where top
+    is the last nonzero index of a.
+    """
+    if a[0] != 0:
+        raise ValueError("geometric() needs zero constant term")
+    c = a[1 : _top(a) + 1]
+    out = [1]
+    for _ in range(len(a) - 1):
+        # map stops at the shorter of c_1..c_top and out[m-1], ..., out[0].
+        out.append(sum(map(mul, c, reversed(out))))
+    return tuple(out)
 
 
 def _top(coeffs: tuple) -> int:
@@ -113,34 +93,28 @@ def _top(coeffs: tuple) -> int:
     return top
 
 
-def zero(trunc: int) -> TruncatedSeries:
-    return TruncatedSeries([0] * (trunc + 1))
-
-
-def z(trunc: int) -> TruncatedSeries:
+@lru_cache(maxsize=None)
+def _phi_chain(trunc: int) -> list[tuple]:
+    """The coefficients of [Phi_0, Phi_1, ...] through z^trunc, extended in
+    place by phi."""
     if trunc < 1:
         raise ValueError("truncation order must be at least 1")
-    return TruncatedSeries([0, 1] + [0] * (trunc - 1))
+    return [(0, 1) + (0,) * (trunc - 1)]
 
 
-@lru_cache(maxsize=None)
-def _phi_chain(trunc: int) -> list[TruncatedSeries]:
-    """[Phi_0, Phi_1, ...] through z^trunc, extended in place by phi."""
-    return [z(trunc)]
-
-
-def phi(k: int, trunc: int) -> TruncatedSeries:
-    """Phi_k truncated; [z^n] counts binary trees with n leaves, height <= k.
+def phi(k: int, trunc: int) -> tuple:
+    """The coefficients of Phi_k through z^trunc; [z^n] counts binary trees
+    with n leaves, height <= k.
 
     Each Phi_k not yet built costs one square() of the one before, in a
     loop, so no recursion depth grows with k.  The square has no term
     below z^2, so adding z sets its coefficients 0 and 1.
     """
     if k < 0:
-        return zero(trunc)
+        return (0,) * (trunc + 1)
     chain = _phi_chain(trunc)
     while len(chain) <= k:
-        chain.append(TruncatedSeries((0, 1) + chain[-1].square().coeffs[2:]))
+        chain.append((0, 1) + square(chain[-1])[2:])
     return chain[k]
 
 
@@ -151,12 +125,11 @@ def _conv(a: tuple, b: tuple, m: int) -> int:
     return sum(map(mul, a[: m + 1], b[m::-1]))
 
 
-def _side(g: TruncatedSeries, prev: TruncatedSeries) -> TruncatedSeries:
+def _side(g: tuple, prev: tuple) -> tuple:
     """S = (1 - prev) G one coefficient at a time, s_m = g_m - [z^m] prev G,
     each a dot product over the support of prev."""
-    p = prev.coeffs[: _top(prev.coeffs) + 1]
-    gc = g.coeffs
-    return TruncatedSeries(gm - _conv(p, gc, m) for m, gm in enumerate(gc))
+    p = prev[: _top(prev) + 1]
+    return tuple(gm - _conv(p, g, m) for m, gm in enumerate(g))
 
 
 # The tally equal to each action label's blocked count: by definition for
@@ -187,7 +160,8 @@ class CensusTallies:
 
 @dataclass(frozen=True)
 class CountSeriesFamily:
-    """The two series that every count over B(n, k) is read from.
+    """The coefficients of the two series that every count over B(n, k) is
+    read from, each a tuple through the series order.
 
     g:    G = 1/(1 - Phi_k)
     side: S = (1 - Phi_{k-1}) G = 1 + (Phi_k - Phi_{k-1}) G, the trees on
@@ -196,16 +170,15 @@ class CountSeriesFamily:
           height exactly k
     """
 
-    g: TruncatedSeries
-    side: TruncatedSeries
+    g: tuple
+    side: tuple
 
     def at(self, n: int) -> CensusTallies:
         """The tallies over B(n, k) as [z^n] reads: total = G^2 - G,
         trivial = z G^2, edge = G - 1 and isolated = z S^2."""
-        if not 0 <= n <= self.g.trunc:
-            raise ValueError(f"[z^{n}] is outside the series order {self.g.trunc}")
-        g = self.g.coeffs
-        s = self.side.coeffs
+        g, s = self.g, self.side
+        if not 0 <= n < len(g):
+            raise ValueError(f"[z^{n}] is outside the series order {len(g) - 1}")
         return CensusTallies(
             total=_conv(g, g, n) - g[n],
             trivial=_conv(g, g, n - 1),
@@ -234,5 +207,5 @@ def count_series(k: int, trunc: int) -> CountSeriesFamily:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    g = phi(k, trunc).geometric()
+    g = geometric(phi(k, trunc))
     return CountSeriesFamily(g=g, side=_side(g, phi(k - 1, trunc)))
