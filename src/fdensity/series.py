@@ -1,8 +1,5 @@
 """Exact truncated power series over the integers, and the tree series.
 
-A series through z^trunc is the tuple of its trunc + 1 int coefficients,
-the constant term first; the kernels below take and return such tuples.
-
 Phi_k(z) counts rooted binary trees of height <= k by number of leaves:
 Phi_0 = z and Phi_k = z + Phi_{k-1}^2.  The marked-forest counting series
 
@@ -36,13 +33,15 @@ The census walk counts x1^-1 blocked on its own, from adjacent tree
 pairs, and census_counts checks it against `trivial`; the tests recount
 all six labels from the actions.
 
-The module has no general series product: its kernels are the functions
-square() for the Phi chain, geometric() for G, and the dot product _conv,
-which reads each coefficient of S = G - Phi_{k-1} G and each tally.
-Support bound: Phi_k has no term above z^(2^k) (a tree of height <= k
-has at most 2^k leaves).  square(), geometric() and the S read clip their
-dot products to the last nonzero coefficient, so for 2^k below the series
-order they cost less than a full-order schoolbook product.
+A series through z^trunc is the tuple of its trunc + 1 int coefficients,
+constant term first.  The module has no series class and no general
+product: its kernels are functions on such tuples, square() for the Phi
+chain, geometric() for G, and the dot product _conv, which reads each
+coefficient of S = G - Phi_{k-1} G and each tally.  Support bound:
+Phi_k has no term above z^(2^k) (a tree of height <= k has at most 2^k
+leaves).  square(), geometric() and the S read clip their dot products
+to the last nonzero coefficient, so for 2^k below the series order they
+cost less than a full-order schoolbook product.
 """
 
 from __future__ import annotations
