@@ -2,7 +2,7 @@
 BFS, the census walk, series construction, and the xi_k bisection.
 
 Usage: python benchmarks/bench_layers.py [--n 10] [--k 3] [--kmax 512]
-       [--census 14:4] [--series 512:12 1024:24] [--repeats 3]
+       [--census 312:10] [--series 512:12 1024:24] [--repeats 3]
 
 multiply: group.multiply over embed(n, k).image() x the six signed steps
 of the extended set {x0, x1, x1bar}, in microseconds per call (minimum
@@ -21,12 +21,12 @@ peak of one more untimed statistics pass at (n, k) itself, the embedding
 built before tracing starts, in MB.
 
 census: for --census N:K, one walk census._walk(N, K) on the exact-height
-table _height_table(N, K), in seconds (minimum over the repeats), and the
-forests it tallies per second, summed over every n <= N.  The rows are
-n in [N-4, N], all read from that one walk, each with the walk's time and
-rate.  Every row's total must equal |B(n, K)|, its tallies must equal
-those the series read count_series(K, N).at(n) gives, and its x1^-1
-blocked count must equal the series' trivial tally.
+table _height_table(N, K), in seconds (minimum over the repeats).  The
+default 312:10 is the size of Theorem 2's finite witness.  The rows are
+n in [N-4, N], all read from that one walk, each with the walk's time.
+Every row's total must equal |B(n, K)|, its tallies must equal those the
+series read count_series(K, N).at(n) gives, and its x1^-1 blocked count
+must equal the series' trivial tally.
 
 series: for each N:K in --series, the three steps of count_series(K, N),
 each repeat starting from empty _phi_chain and count_series caches:
@@ -35,8 +35,8 @@ the Phi chain phi(K, N), G = geometric(phi(K, N)), and the S read _side
 (minimum over the repeats).  G and S must equal count_series(K, N), and
 every chain level must equal z plus the full-length convolution
 _conv(c, c, m) of the level c before, a kernel other than square()'s half
-products.  `--series 256:4 512:4 1024:4` times the dp route at the census
-walk's default height.
+products.  `--series 312:10` times the dp route at the census layer's
+default size.
 
 xi: intervals.xi(k) for k = 1..kmax at the default tolerance, each repeat
 starting from an empty cache; seconds (minimum over the repeats) and the
@@ -127,15 +127,14 @@ def bench_census(n: int, k: int, repeats: int) -> None:
         t0 = time.perf_counter()
         walked = census._walk(n, k, table)
         best = min(best, time.perf_counter() - t0)
-    rate = sum(tallies.total for tallies, _ in walked) / best
     fam = series.count_series(k, n)
-    _print_row(["n", "k", "|B(n,k)|", "walk (s)", "forests/s"])
+    _print_row(["n", "k", "|B(n,k)|", "walk (s)"])
     for nn in range(max(1, n - 4), n + 1):
         tallies, merge_blocked = walked[nn]
         assert tallies.total == forests.count_bb(nn, k), "walk total != |B(n,k)|"
         dp = fam.at(nn)
         assert tallies == dp and merge_blocked == dp.trivial, "walk != dp"
-        _print_row([nn, k, tallies.total, f"{best:.4f}", f"{rate:.3g}"])
+        _print_row([nn, k, tallies.total, f"{best:.4f}"])
 
 
 def bench_series(cases: list[tuple[int, int]], repeats: int) -> None:
@@ -210,7 +209,7 @@ def main() -> None:
     ap.add_argument("--n", type=int, default=10)
     ap.add_argument("--k", type=int, default=3)
     ap.add_argument("--kmax", type=int, default=512)
-    ap.add_argument("--census", type=_case, default=(14, 4))
+    ap.add_argument("--census", type=_case, default=(312, 10))
     ap.add_argument(
         "--series", type=_case, nargs="+", default=[(512, 12), (1024, 24)]
     )

@@ -1,13 +1,13 @@
 """Graph statistics on B(n, k) and on arbitrary sets of group elements.
 
-Two independent routes produce every count: `enumerate` walks all of
-B(n, k) by height profile (`_walk`), `dp` reads coefficients of the exact
-counting series; they must agree integer-for-integer.  Each route is built
-once per k for a whole table: one walk to the table's largest n tallies
-every smaller n on the way, as one truncated series holds every
-coefficient below its order.  The enumeration cap bounds that one walk,
-so a table whose largest |B(n, k)| is over the cap is refused before any
-row walks.
+Two independent routes produce every count: `enumerate` walks the leaf
+counts of B(n, k) with running sums per state of the last tree (`_walk`),
+`dp` reads coefficients of the exact counting series; they must agree
+integer-for-integer.  Each route is built once per k for a whole table:
+one walk to the table's largest n tallies every smaller n on the way, as
+one truncated series holds every coefficient below its order.  The
+enumeration cap bounds that one walk, so a table whose largest
+|B(n, k)| is over the cap is refused before any row walks.
 
 Densities follow delta(Y) = degree_sum / #Y; together with the Cheeger
 count #d*Y (directed edges leaving Y) this satisfies
@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Callable, Collection, Iterable, Mapping, Optional
 
 from .errors import CapExceeded
@@ -72,66 +73,60 @@ def _height_table(n: int, k: int) -> list[list[int]]:
 
 
 def _walk(n: int, k: int, table: list[list[int]]) -> list[tuple[CensusTallies, int]]:
-    """Exhaustive tallies over B(s, k) for every s <= n, from one walk.
-
-    The walk chooses, left to right, each tree's leaf count l and exact
-    height h, so it visits each height profile (h_1 ... h_m) once,
-    weighted by the number of concrete tree sequences sharing it (the
-    product of the table[l][h] entries along the way).  Every node is a
-    forest: a prefix of trees with s leaves is a tree sequence of B(s, k),
-    and the walk to depth n reaches each one exactly once, so each node
-    tallies its m marks into slot s (and its one sequence into `edge`,
-    the marks on the first tree).
+    """Tallies over B(s, k) for every s <= n, from one pass over s.
 
     The per-mark tally needs only the marked tree and its two neighbours:
     the mark's position, the marked tree being trivial, or a tree of
-    height exactly k standing in the way of a merge.  So the walk carries
-    the running sums down instead of looping over the marks: the number
-    of trees, of trivial trees, of adjacent pairs containing a tree of
-    height k, and of isolated marks already closed (a mark whose right
-    neighbour is chosen), with the last tree's height and whether its
-    left side is blocked.  Appending a tree closes the mark before it; a
-    node adds its open last mark when it tallies.  That is O(1) work per
-    node.
+    height exactly k standing in the way of a merge.  So appending a tree
+    to a tree sequence updates the sequence's sums from only the state of
+    its last tree (trivial, height exactly k, left side blocked) and the
+    new tree's leaf count and class.  The sums are the weight (number of
+    sequences), trees (= marks), trivial trees, adjacent pairs containing
+    a tree of height k, and isolated marks already closed (those whose
+    right neighbour is chosen); slot s adds each state's open last mark.
+    Sequences with equal leaf count and state share their sums: the
+    transfer-matrix method (Stanley, Enumerative Combinatorics I, 4.7).
 
-    x1^-1 is blocked at the last mark and at the left mark of every such
-    pair, so its blocked count is the pair count plus one per sequence.
-    It equals `trivial` by an identity of the series, which census_counts
+    ahead[state][sum][s] sums over the sequences with s leaves, each
+    extended by one tree that is in that state, not yet weighted by that
+    tree's count.  The sums at s are dot products of these columns with
+    the tree counts by leaf count: at most 30 of length s per s, O(n^2)
+    big-integer products in all, with no recursion and no walk over the
+    height profiles, whose number grows exponentially in n.
+
+    x1^-1 is blocked at the last mark and at the left mark of every pair,
+    so its blocked count is the pair count plus one per sequence.  It
+    equals `trivial` by an identity of the series, which census_counts
     checks; tests/test_walk.py recounts all six labels from the actions.
+    This route shares only the table (count_trees_exact_height) with the
+    series and nothing with its Phi chain; it reads `isolated` from local
+    states, where the series reads z S^2.
 
     Returns, for s = 0..n, (tallies, merge_blocked): the four tallies and
     the x1^-1 blocked count.  Slot 0 is all zero.
     """
-    # fits[rem]: every (leaf count, height, count) of a tree within rem leaves
-    fits = [
-        [(l, h, c) for l in range(1, rem + 1) for h, c in enumerate(table[l]) if c]
-        for rem in range(n + 1)
-    ]
-    total = [0] * (n + 1)
-    trivial = [0] * (n + 1)
-    edge = [0] * (n + 1)
-    isolated = [0] * (n + 1)
-    merge_blocked = [0] * (n + 1)
-
-    def rec(s, m, triv, pair, closed, last, left, w):
-        top = last == k
-        open_iso = last == 0 and (left or top)
-        total[s] += w * m
-        trivial[s] += w * triv
-        edge[s] += w
-        isolated[s] += w * (closed + open_iso)
-        merge_blocked[s] += w * (pair + 1)
-        for l, h, c in fits[n - s]:
-            b = top or h == k
-            rec(s + l, m + 1, triv + (h == 0), pair + b, closed + (open_iso and b),
-                h, top, w * c)
-
-    for l, h, c in fits[n]:
-        rec(l, 1, h == 0, 0, 0, h, True, c)
-    return [
-        (CensusTallies(total[s], trivial[s], edge[s], isolated[s]), merge_blocked[s])
-        for s in range(n + 1)
-    ]
+    trees = {}  # trees[cls][l]: l-leaf trees of class cls = (trivial, height k)
+    for l in range(1, n + 1):
+        for h, c in enumerate(table[l]):
+            trees.setdefault((h == 0, h == k), [0] * (n + 1))[l] += c
+    # A first tree: one sequence and one mark, no pair, its left side blocked.
+    ahead = {(cls, left): [[v * left] + [0] * n for v in (1, 1, cls[0], 0, 0)]
+             for cls in trees for left in (False, True)}
+    slots = [(CensusTallies(0, 0, 0, 0), 0)]
+    for s in range(1, n + 1):
+        tally = [0] * 5
+        for ((triv, top), left), cols in ahead.items():
+            counts = trees[triv, top][s:0:-1]
+            w, m, t, p, c = (sum(map(mul, counts, col)) for col in cols)
+            open_iso = triv and (left or top)
+            tally = [x + y for x, y in zip(tally, (m, t, w, c + w * open_iso, p + w))]
+            for nxt in trees:
+                b = top or nxt[1]
+                sums = (w, m + w, t + w * nxt[0], p + w * b, c + w * (open_iso and b))
+                for col, v in zip(ahead[nxt, top], sums):
+                    col[s] += v
+        slots.append((CensusTallies(*tally[:4]), tally[4]))
+    return slots
 
 
 @lru_cache(maxsize=None)

@@ -135,6 +135,8 @@ def _emit(
 
 
 def cmd_group_verify(args: argparse.Namespace) -> int:
+    if args.mn < 1:
+        raise UsageError("--mn must be at least 1")
     checks = group.presentation_checks(mixed_max=args.mn)
     if args.inject_bad_relator:
         x0, x1 = group.X0, group.X1

@@ -580,6 +580,14 @@ def test_table_bytes_pinned(capsys, command, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_SHA256[command, fmt]
 
 
+def test_group_verify_mn_below_one_refused(capsys):
+    # --mn 0 or below would run none of the alpha/beta mixed checks.
+    for mn in ("0", "-3"):
+        assert cli.main(["group-verify", "--mn", mn]) == 3
+        assert "--mn must be at least 1" in capsys.readouterr().err
+    assert cli.main(["group-verify", "--mn", "1"]) == 0
+
+
 def test_exit_codes(capsys):
     assert cli.main(["density", "--k", "1"]) == 3  # missing --n/--nmax
     assert cli.main(["density", "--n", "2", "--nmax", "3", "--k", "1"]) == 3

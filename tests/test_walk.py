@@ -50,6 +50,18 @@ def test_walk_tallies_every_depth():
             assert walked == [oracle[s, k] for s in range(n + 1)], (n, k)
 
 
+def test_walk_matches_series_every_slot_at_n64():
+    # |B(64, 6)| is far over the cap, so _walk is called directly; a walk
+    # over height profiles would not finish at this depth.
+    n, k = 64, 6
+    walked = census._walk(n, k, census._height_table(n, k))
+    fam = series.count_series(k, n)
+    for s in range(1, n + 1):
+        tallies, merge_blocked = walked[s]
+        assert tallies == fam.at(s) and merge_blocked == tallies.trivial, s
+    assert walked[0] == (series.CensusTallies(0, 0, 0, 0), 0)
+
+
 @pytest.fixture
 def fresh_walks():
     """An empty walk cache, so that a patched walk really runs, and none of
