@@ -16,9 +16,13 @@ the repeats), and the group.multiply calls of outer_boundary_exact,
 counted in one more untimed pass.  The BFS multiplies each unblocked
 (forest, label) pair and the statistics pass each blocked one, so the
 count must be 6 |B(n', k')| summed over the grid; every boundary must
-equal the doubling bound of theorem2.  The last column is the tracemalloc
-peak of one more untimed statistics pass at (n, k) itself, the embedding
-built before tracing starts, in MB.
+equal the doubling bound of theorem2.  Then outer_boundary_grid(n, k,
+extended), which theorem2 runs: all those boundaries from the one
+embedding of B(n, k), in seconds (minimum over the repeats), and its
+group.multiply calls, counted in the untimed pass.  It must equal the
+per-row boundaries and make 6 |B(n, k)| products.  The last column is
+the tracemalloc peak of one more untimed statistics pass at (n, k)
+itself, the embedding built before tracing starts, in MB.
 
 census: for --census N:K, one walk census._walk(N, K) on the exact-height
 table _height_table(N, K), in seconds (minimum over the repeats).  The
@@ -40,7 +44,9 @@ default size.
 
 xi: intervals.xi(k) for k = 1..kmax at the default tolerance, each repeat
 starting from an empty cache; seconds (minimum over the repeats) and the
-number of _phi_cmp_one sign tests, counted in one more untimed pass.
+number of one-track loops (_phi_floor and _phi_ceil calls, two of them
+per midpoint sign test that _phi_cmp_one cannot settle from the ceil
+track), counted in one more untimed pass.
 The certified B' limit density must first exceed 3 at k = 48, the witness
 of theorem1, whenever kmax >= 48.
 """
@@ -77,7 +83,7 @@ def bench_multiply(n: int, k: int, repeats: int) -> None:
 def bench_embedding(n: int, k: int, repeats: int) -> None:
     ext = group.GenSetSpec.extended()
     grid = [(nn, kk) for nn in range(1, n + 1) for kk in range(0, k + 1)]
-    best_embed = best_stats = float("inf")
+    best_embed = best_stats = best_grid = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
         embeddings = [census.embed(nn, kk) for nn, kk in grid]
@@ -85,8 +91,11 @@ def bench_embedding(n: int, k: int, repeats: int) -> None:
         for emb in embeddings:
             census.stats_elements(emb.image(), ext, emb.blocked)
         t2 = time.perf_counter()
+        census.outer_boundary_grid(n, k, ext)
+        t3 = time.perf_counter()
         best_embed = min(best_embed, t1 - t0)
         best_stats = min(best_stats, t2 - t1)
+        best_grid = min(best_grid, t3 - t2)
 
     calls = 0
     real = census.multiply
@@ -99,13 +108,17 @@ def bench_embedding(n: int, k: int, repeats: int) -> None:
     census.multiply = counting
     try:
         outer = [census.outer_boundary_exact(nn, kk, ext) for nn, kk in grid]
+        row_calls, calls = calls, 0
+        one_embedding = census.outer_boundary_grid(n, k, ext)
     finally:
         census.multiply = real
     counts = [census.census_counts(nn, kk) for nn, kk in grid]
-    assert calls == 6 * sum(c.total for c in counts), "multiply calls != 6 |B|"
+    assert row_calls == 6 * sum(c.total for c in counts), "multiply calls != 6 |B|"
     assert all(o == c.doubling_bound() for o, c in zip(outer, counts)), (
         "outer boundary differs from the doubling bound"
     )
+    assert one_embedding == dict(zip(grid, outer)), "grid != per-row boundaries"
+    assert calls == 6 * forests.count_bb(n, k), "grid multiply calls != 6 |B|"
 
     emb = census.embed(n, k)
     tracemalloc.start()
@@ -114,10 +127,10 @@ def bench_embedding(n: int, k: int, repeats: int) -> None:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    _print_row(["n <=", "k <=", "embed (s)", "stats (s)", "multiplies", "peak (MB)"])
-    _print_row(
-        [n, k, f"{best_embed:.4f}", f"{best_stats:.4f}", calls, f"{peak / 1e6:.2f}"]
-    )
+    _print_row(["n <=", "k <=", "embed (s)", "stats (s)", "multiplies", "grid (s)",
+                "grid mult.", "peak (MB)"])
+    _print_row([n, k, f"{best_embed:.4f}", f"{best_stats:.4f}", row_calls,
+                f"{best_grid:.4f}", calls, f"{peak / 1e6:.2f}"])
 
 
 def bench_census(n: int, k: int, repeats: int) -> None:
@@ -180,27 +193,32 @@ def bench_xi(kmax: int, repeats: int) -> None:
         best = min(best, time.perf_counter() - t0)
 
     calls = 0
-    real = intervals._phi_cmp_one
+    tracks = {name: getattr(intervals, name) for name in ("_phi_floor", "_phi_ceil")}
 
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
+    def counting(real):
+        def track(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        return track
 
     intervals.xi.cache_clear()
-    intervals._phi_cmp_one = counting
+    for name, real in tracks.items():
+        setattr(intervals, name, counting(real))
     try:
         for k in ks:
             intervals.xi(k)
     finally:
-        intervals._phi_cmp_one = real
+        for name, real in tracks.items():
+            setattr(intervals, name, real)
 
     witness = next(
         (k for k in ks if intervals.limit_fractions(k).bprime_density.lo > 3), None
     )
     expected = THEOREM1_WITNESS if kmax >= THEOREM1_WITNESS else None
     assert witness == expected, f"first k with B' density > 3 is {witness}"
-    _print_row(["kmax", "xi (s)", "sign tests", "witness k"])
+    _print_row(["kmax", "xi (s)", "tracks", "witness k"])
     _print_row([kmax, f"{best:.4f}", calls, witness])
 
 

@@ -17,6 +17,8 @@ delta(Y) + #d*Y/#Y = 2m exactly.  (Some sources abbreviate the numerator
 The outer boundary dY (vertices outside Y adjacent to Y) is computed only
 in the element model via the embedding of B(n, k) into the Cayley graph,
 since some Cayley neighbours of B(n, k) are not n-leaf marked forests.
+One embedding of B(n, k) holds every B(n', k') with n' <= n and k' <= k,
+so outer_boundary_grid reads all their boundaries from it.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .forests import (
     ForestKey,
     MarkedForest,
     TreeTable,
+    count_bb,
     count_trees_exact_height,
     encode_forest,
     enumerate_bb,  # unused here; perfbench traces it as census.enumerate_bb
@@ -448,3 +451,70 @@ def outer_boundary_exact(
     """#dY for Y = B(n, k) embedded in the Cayley graph."""
     emb = embed(n, k, cap)
     return stats_elements(emb.image(), genset, emb.blocked).outer_boundary
+
+
+def outer_boundary_grid(
+    n: int,
+    k: int,
+    genset: GenSetSpec,
+    cap: int = DEFAULT_CAP,
+) -> dict[tuple[int, int], int]:
+    """#dY for every Y = B(n', k') with n' <= n and k' <= k, keyed by
+    (n', k'), from one embedding of B(n, k).
+
+    A forest of B(n', k') padded on the right with n - n' trivial trees
+    is a forest of B(n, k) with the same element.  The word that takes
+    the base of B(n', k') to it takes the base of B(n, k) to the padded
+    forest: its moves never reach the padding, and embed checks that
+    every forest has one element.  In forest diagrams, a trailing leaf
+    adds no caret (Belk and Brown, IJAC 2005).  So Y is the set of
+    forests of B(n, k) whose last n - n' trees are trivial and right of
+    the mark, and whose height is at most k'.
+
+    Each endpoint y*s is read from the embedding where the action of s is
+    defined within B(n, k), as the element of the forest it reaches, and
+    multiplied once where it is blocked, kept by group.compact_key unless
+    it is an element of B(n, k), as stats_elements keeps it.  The forests
+    fall into cells by the least n' whose B(n', k') holds them and by
+    their height; each cell lists its elements and their endpoints per
+    label.  The embedding's dicts and sets are dropped before the rows.
+    Along each k', B(n', k') grows by whole cells as n' rises; each row
+    counts the distinct endpoints of its Y outside Y, the rule of
+    stats_elements, after checking that |Y| = |B(n', k')|.
+    """
+    if genset.name not in _FOREST_GENSETS:
+        raise ValueError(f"the boundary grid supports gensets {_FOREST_GENSETS}")
+    emb = embed(n, k, cap)
+    flat, image, table = emb.flat, emb.image(), emb.table
+    steps = [_ACTION_STEPS[label] for label in ACTION_LABELS]
+    # cells[n', height]: elements, then their endpoints per ACTION_LABELS
+    cells = {(s, h): [[] for _ in range(7)]
+             for s in range(1, n + 1) for h in range(k + 1)}
+    for key, e in flat.items():
+        ts, m = key
+        pad = 0
+        while pad < len(ts) - 1 - m and not ts[-1 - pad]:
+            pad += 1
+        cell = cells[n - pad, max(map(table.heights.__getitem__, ts))]
+        cell[0].append(e)
+        for col, step, g in zip(cell[1:], steps, table.moves(key)):
+            if g is not None:
+                col.append(flat[g])
+            else:
+                t = multiply(e, step)
+                col.append(t if t in image else compact_key(t))
+    del emb, flat, image, table
+    cols = [1 + ACTION_LABELS.index(_STEP_LABELS[step]) for _, step in genset.signed()]
+    grid = {}
+    for kk in range(k + 1):
+        inside, outside = set(), set()
+        for nn in range(1, n + 1):
+            for h in range(kk + 1):
+                inside.update(cells[nn, h][0])
+                for c in cols:
+                    outside.update(cells[nn, h][c])
+            outside -= inside
+            if len(inside) != count_bb(nn, kk):
+                raise EmbeddingError(f"B({n},{k}) does not pad B({nn},{kk}) exactly")
+            grid[nn, kk] = len(outside)
+    return grid

@@ -10,6 +10,15 @@ undecided; escalation failure raises PrecisionExhausted naming the width
 that was achieved.  A float estimate of xi_k only picks which bisection
 midpoints need a certificate; no endpoint depends on it.
 
+Phi_k(z) is the k-th iterate of v -> z + v^2 from v = z, monotone in z
+and in v.  Its floor track rounds every square down and its ceil track
+every square up, so they bound Phi_k from below and above.  Neither reads
+the other, so a certificate runs only the track it needs: Phi_k < 1 (the
+bracket's left end, the cut lo) reads the ceil track, Phi_k > 1 (the
+bracket's right end, the cut hi) the floor track, and a bisection
+midpoint or phi_at reads both.  Each track rises with every step, so it
+can stop once it passes the value it is compared with.
+
 limit_fractions assembles the derived limits from an xi_k enclosure with
 exact Fraction interval arithmetic:
 
@@ -35,7 +44,7 @@ from .errors import PrecisionExhausted
 DEFAULT_TOL = Fraction(1, 10**12)
 # xi's working precision never exceeds this many bits.
 MAX_BITS = 4096
-# phi_at refuses once its upper track exceeds this value.
+# phi_at refuses once its ceil track exceeds this value.
 PHI_BOUND = 64
 
 
@@ -116,39 +125,40 @@ def _coerce(x) -> CertifiedInterval:
 # dyadic evaluation of Phi_k
 
 
-def _phi_tracks(k: int, zlo: int, zhi: int, p: int, cap: int) -> tuple[int, int]:
-    """Floor track of Phi_k at zlo/2^p and ceil track at zhi/2^p, scaled by 2^p.
-
-    Requires 0 <= zlo <= zhi.  Phi_k is monotone in z on [0, inf) with
-    nonnegative values, so the tracks are independent, and each rises with
-    k.  The upper track is held at cap once it passes it, and the loop
-    stops once the lower track passes cap.  An upper track that ends above
-    cap means only "above cap" and is not a bound; below cap it bounds
-    Phi_k(zhi/2^p) from above.  The lower track always bounds
-    Phi_k(zlo/2^p) from below.
-    """
-    vlo, vhi = zlo, zhi
+def _phi_floor(k: int, z: int, p: int, cap: int) -> int:
+    """Floor track of Phi_k at z/2^p, scaled by 2^p: a lower bound on
+    2^p Phi_k(z/2^p).  It stops once it passes cap, and then only says
+    that Phi_k(z/2^p) is above cap/2^p."""
+    v = z
     for _ in range(k):
-        if vlo > cap:
+        if v > cap:
             break
-        if vhi > cap:
-            vhi = cap
-        vlo = zlo + ((vlo * vlo) >> p)
-        vhi = zhi - ((-(vhi * vhi)) >> p)
-    return vlo, vhi
+        v = z + ((v * v) >> p)
+    return v
+
+
+def _phi_ceil(k: int, z: int, p: int, cap: int) -> int:
+    """Ceil track of Phi_k at z/2^p, scaled by 2^p: an upper bound on
+    2^p Phi_k(z/2^p) when it ends at most cap.  It stops once it passes
+    cap, and then means only "above cap", not a bound."""
+    v = z
+    for _ in range(k):
+        if v > cap:
+            break
+        v = z - ((-(v * v)) >> p)
+    return v
 
 
 def _phi_cmp_one(k: int, z: int, p: int) -> int:
     """Sign of Phi_k(z/2^p) - 1, certified: -1, +1, or 0 when undecided.
 
-    The tracks are read at cap 2*2^p + 1: an upper track held there ends
-    above 1, so the hold never yields a wrong -1.
+    -1 is read from the ceil track alone and +1 from the floor track
+    alone, the floor track only when the ceil track is not below 1.
     """
     one = 1 << p
-    vlo, vhi = _phi_tracks(k, z, z, p, 2 * one + 1)
-    if vhi < one:
+    if _phi_ceil(k, z, p, one) < one:
         return -1
-    if vlo > one:
+    if _phi_floor(k, z, p, one) > one:
         return 1
     return 0
 
@@ -174,11 +184,12 @@ def phi_at(k: int, z_point) -> CertifiedInterval:
     zlo, _ = _to_scaled(iv.lo, p)
     _, zhi = _to_scaled(iv.hi, p)
     cap = PHI_BOUND << p
-    vlo, vhi = _phi_tracks(k, zlo, zhi, p, cap)
+    vhi = _phi_ceil(k, zhi, p, cap)
     if vhi > cap:
         raise PrecisionExhausted(
             f"Phi evaluation exceeded bound {PHI_BOUND}; point too far past the singularity"
         )
+    vlo = _phi_floor(k, zlo, p, cap)
     scale = 1 << p
     return CertifiedInterval(Fraction(vlo, scale), Fraction(max(vlo, vhi), scale))
 
@@ -214,17 +225,19 @@ def _xi_estimate(k: int) -> float:
 
 def _certified_cuts(k: int, a: int, b: int, p: int) -> tuple[int, int]:
     """Grid points a < lo < hi < b with Phi_k(lo) < 1 < Phi_k(hi) certified
-    by _phi_cmp_one at precision p, placed around the float estimate of xi_k;
-    (a, b) when the estimate is not finite or a certificate fails."""
+    at precision p, by the ceil track at lo and the floor track at hi,
+    placed around the float estimate of xi_k; (a, b) when the estimate is
+    not finite or a certificate fails."""
     g = _xi_estimate(k)
     if isfinite(g):
         c = int(ldexp(g, p))
         lo, hi = c - _CUT_MARGIN, c + _CUT_MARGIN
+        one = 1 << p
         if (
             a < lo
             and hi < b
-            and _phi_cmp_one(k, lo, p) == -1
-            and _phi_cmp_one(k, hi, p) == 1
+            and _phi_ceil(k, lo, p, one) < one
+            and _phi_floor(k, hi, p, one) > one
         ):
             return lo, hi
     return a, b
@@ -240,14 +253,13 @@ def xi(k: int, tol: Fraction = DEFAULT_TOL) -> CertifiedInterval:
 
     Midpoints whose side is already known are not evaluated.  At a fixed
     precision p, _phi_cmp_one(k, m, p) is nondecreasing in m: both tracks
-    of _phi_tracks are monotone in z, the hold at cap is a min, and the
-    stop on the lower track comes no later for a larger m.  So once lo and hi
-    are certified with signs -1 and +1 (see _certified_cuts), every
-    midpoint m <= lo has side -1 and every m >= hi has side +1, exactly
-    what evaluating it would return: the bisection path, and hence the
-    interval, is the one plain bisection gives.  A failed certificate
-    leaves plain bisection; so does an escalation of p, since the cuts
-    were certified at the old precision.
+    are monotone in z, and a track stopped past 1 reads as the full one
+    would.  So once lo and hi are certified with signs -1 and +1 (see
+    _certified_cuts), every midpoint m <= lo has side -1 and every
+    m >= hi has side +1, exactly what evaluating it would return: the
+    bisection path, and hence the interval, is the one plain bisection
+    gives.  A failed certificate leaves plain bisection; so does an
+    escalation of p, since the cuts were certified at the old precision.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -257,8 +269,9 @@ def xi(k: int, tol: Fraction = DEFAULT_TOL) -> CertifiedInterval:
     if k == 0:
         return CertifiedInterval(Fraction(1), Fraction(1))
     p = 64
-    a, b = (1 << p) // 4, 1 << p
-    if _phi_cmp_one(k, a, p) != -1 or _phi_cmp_one(k, b, p) != 1:
+    one = 1 << p
+    a, b = one // 4, one
+    if not (_phi_ceil(k, a, p, one) < one and _phi_floor(k, b, p, one) > one):
         raise AssertionError("bracket endpoints failed to certify")
     lo, hi = _certified_cuts(k, a, b, p)
     while (b - a) * tol.denominator > tol.numerator << p:

@@ -70,13 +70,16 @@ def test_bench_layers_runs():
     header = next(i for i, line in enumerate(lines) if "chain (s)" in line)
     assert lines[header + 1].split()[:2] == ["64", "5"]
     # The embedding layer multiplies 6 |B(n, k)| times over n <= 6, k <= 2.
-    # The BFS and the statistics pass are timed apart.
+    # The BFS and the statistics pass are timed apart.  The grid reads all
+    # those boundaries from one embedding of B(6, 2): 6 |B(6, 2)| products.
     row = _table_row(lines, "embed (s)", 1)
     assert (row["n <="], row["k <="]) == ("6", "2")
     assert float(row["embed (s)"]) > 0 and float(row["stats (s)"]) > 0
     assert int(row["multiplies"]) == 6 * sum(
         count_bb(n, k) for n in range(1, 7) for k in range(0, 3)
     )
+    assert float(row["grid (s)"]) > 0
+    assert int(row["grid mult."]) == 6 * count_bb(6, 2) == 882
     # The census layer walks B(n, 3) for n = 4..8; its fifth row is n = 8.
     row = _table_row(lines, "walk (s)", 5)
     assert (row["n"], row["k"], row["|B(n,k)|"]) == ("8", "3", str(count_bb(8, 3)))

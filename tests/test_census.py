@@ -279,6 +279,38 @@ def test_doubling_bound_holds_small_grid():
             assert outer == bound, (n, k, outer, bound)
 
 
+def test_outer_boundary_grid_matches_exact():
+    # One embedding of B(8, 3) gives #dY of every B(n, k) padded inside it.
+    for gs in (
+        group.GenSetSpec.standard(),
+        group.GenSetSpec.symmetric(),
+        group.GenSetSpec.extended(),
+    ):
+        exact = {
+            (n, k): census.outer_boundary_exact(n, k, gs)
+            for n in range(1, 9)
+            for k in range(0, 4)
+        }
+        assert census.outer_boundary_grid(8, 3, gs) == exact, gs.name
+
+
+def test_outer_boundary_grid_multiplies_only_blocked(monkeypatch):
+    # The BFS makes one product per unblocked (forest, label) pair of
+    # B(n, k) and the grid one per blocked pair: 6 |B(n, k)| in all.
+    seen = _counting_multiply(monkeypatch)
+    ext = group.GenSetSpec.extended()
+    census.outer_boundary_grid(6, 2, ext)
+    counts = census.census_counts(6, 2)
+    cheeger = counts.stats(ext).cheeger_total
+    assert seen["stats"] == cheeger
+    assert seen["bfs"] == 6 * counts.total - cheeger
+
+
+def test_outer_boundary_grid_refuses_custom_sets():
+    with pytest.raises(ValueError):
+        census.outer_boundary_grid(3, 1, CUSTOM_WITH_STEP)
+
+
 def test_doubling_ratio_tracks_3xi():
     # bound/#Y for B(n,2) approaches 3*xi_2 ~ 1.452 from above as n grows.
     c16 = census.census_counts(16, 2, "dp")

@@ -447,6 +447,43 @@ def test_theorem2_checks_walk_once_per_k(monkeypatch, tmp_path):
     assert depths == [(5, 0), (5, 1), (5, 2), (5, 3)]
 
 
+def test_theorem2_embeds_once(monkeypatch, tmp_path):
+    # Every check row reads one embedding at (--n-small, min(3, --kmax)).
+    embeds, exact = [], []
+    real_embed = census.embed
+
+    def counting_embed(*args, **kwargs):
+        embeds.append(args[:2])
+        return real_embed(*args, **kwargs)
+
+    monkeypatch.setattr(census, "embed", counting_embed)
+    monkeypatch.setattr(
+        census, "outer_boundary_exact", lambda *args, **kwargs: exact.append(args)
+    )
+    rc, _ = run(["theorem2", "--kmax", "8", "--n-small", "5"], tmp_path)
+    assert rc == 0
+    assert embeds == [(5, 3)]
+    assert exact == []
+
+
+def test_theorem2_refuses_n_small_over_embed_cap_before_multiplying(
+    monkeypatch, capsys
+):
+    products = []
+    real_multiply = census.multiply
+    monkeypatch.setattr(
+        census, "multiply", lambda a, b: products.append(b) or real_multiply(a, b)
+    )
+    assert cli.main(["theorem2", "--kmax", "8", "--n-small", "13"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "fdensity: not certified within budget: "
+        "embed supports n <= 12 (got n = 13)\n"
+    )
+    assert products == []
+
+
 def test_embed_verify_and_controls(tmp_path):
     rc, text = run(["embed-verify", "--nmax", "4", "--kmax", "2"], tmp_path)
     assert rc == 0

@@ -134,6 +134,52 @@ def test_phi_cmp_one_against_exact_sign():
             assert intervals._phi_cmp_one(k, z, p) in (0, want), (k, z)
 
 
+def _two_track_oracle(k, zlo, zhi, p, cap):
+    # Both tracks in one loop, the ceil track held at cap and the loop
+    # stopped once the floor track passes cap: the reference for the
+    # one-track loops.
+    vlo, vhi = zlo, zhi
+    for _ in range(k):
+        if vlo > cap:
+            break
+        if vhi > cap:
+            vhi = cap
+        vlo = zlo + ((vlo * vlo) >> p)
+        vhi = zhi - ((-(vhi * vhi)) >> p)
+    return vlo, vhi
+
+
+def test_one_track_certificates_match_two_track_oracle():
+    # Each certificate reads one track: Phi_k < 1 the ceil track, Phi_k > 1
+    # the floor track, each as the two-track loop at cap 2*2^p + 1 does.
+    p = 64
+    one = 1 << p
+    deltas = [0, *(s * d for d in (1, 2**8, 2**30, 2**50) for s in (1, -1))]
+    for k in range(1, 41):
+        x = intervals.xi(k, F(1, one))
+        root = x.lo.numerator * one // x.lo.denominator
+        for z in (root + d for d in deltas):
+            vlo, vhi = _two_track_oracle(k, z, z, p, 2 * one + 1)
+            assert (intervals._phi_ceil(k, z, p, one) < one) == (vhi < one), (k, z)
+            assert (intervals._phi_floor(k, z, p, one) > one) == (vlo > one), (k, z)
+            want = -1 if vhi < one else 1 if vlo > one else 0
+            assert intervals._phi_cmp_one(k, z, p) == want, (k, z)
+
+
+def test_phi_at_matches_two_track_oracle():
+    for k in (0, 1, 2, 5, 17, 40):
+        for z in (F(1, 4), F(1, 3), F(2, 7), F(1, 2), F(1), F(3, 2)):
+            p = max(128, 8 + z.denominator.bit_length())
+            cap = intervals.PHI_BOUND << p
+            vlo, vhi = _two_track_oracle(k, *intervals._to_scaled(z, p), p, cap)
+            if vhi > cap:
+                with pytest.raises(PrecisionExhausted):
+                    intervals.phi_at(k, z)
+                continue
+            iv = intervals.phi_at(k, z)
+            assert (iv.lo, iv.hi) == (F(vlo, 2**p), F(max(vlo, vhi), 2**p)), (k, z)
+
+
 def test_limit_fractions_against_float_recurrence():
     for k in (1, 2, 3, 10, 32):
         lf = intervals.limit_fractions(k)
@@ -197,17 +243,20 @@ def test_xi_ignores_a_wrong_estimate(monkeypatch, wrong):
 
 
 def test_xi_skips_certified_midpoints(monkeypatch):
-    # Two bracket certificates, two cut certificates, and at most a few
-    # midpoints inside the cuts; plain bisection makes 42 sign tests.
-    calls = []
-    real = intervals._phi_cmp_one
+    # The two bracket certificates and the two cut certificates run one
+    # track each, and every midpoint of xi(512) lies outside the cuts, so
+    # no two-track sign test runs; plain bisection makes 42 of them.
+    tracks, tests = [], []
+    for name, log in (
+        ("_phi_floor", tracks), ("_phi_ceil", tracks), ("_phi_cmp_one", tests)
+    ):
+        def counting(*args, real=getattr(intervals, name), log=log):
+            log.append(args[:2])
+            return real(*args)
 
-    def counting(*args):
-        calls.append(args[:2])
-        return real(*args)
-
-    monkeypatch.setattr(intervals, "_phi_cmp_one", counting)
+        monkeypatch.setattr(intervals, name, counting)
     intervals.xi.cache_clear()
     intervals.xi(512)
     intervals.xi.cache_clear()
-    assert len(calls) <= 8
+    assert len(tracks) == 4
+    assert tests == []
