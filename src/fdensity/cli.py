@@ -7,11 +7,12 @@ UsageError, raised here for every bad input) or an unwritable --out; 4
 any other (internal) fault, reported in one stderr line without a
 traceback.
 
-Output is byte-identical for a fixed configuration regardless of
---threads: work is distributed over rows and merged in input order, and
-the thread count is never echoed into the output.  Rationals are printed
-as exact numerator/denominator columns plus decimal strings (12 places;
-interval endpoints are rounded outward, other values half-up).
+Every command runs in one process: a table's rows are built in input
+order by a plain loop, so they share the census, series and interval
+caches.  --threads is still accepted (at least 1) but selects nothing,
+and it is never echoed into the output.  Rationals are printed as exact
+numerator/denominator columns plus decimal strings (12 places; interval
+endpoints are rounded outward, other values half-up).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import __version__
 from . import census, forests, group, intervals
@@ -68,18 +69,6 @@ def _iv_cols(iv: intervals.CertifiedInterval, name: str) -> dict[str, str]:
         f"{name}_lo": _decimal(iv.lo, mode="floor"),
         f"{name}_hi": _decimal(iv.hi, mode="ceil"),
     }
-
-
-def _pmap(fn: Callable, items: Sequence, threads: int) -> list:
-    """Map preserving order; distributes over a process pool if threads > 1."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ProcessPoolExecutor
-
-    # Under fork the pool starts all its workers on the first submit, so
-    # it gets no more of them than there are items.
-    with ProcessPoolExecutor(max_workers=min(threads, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 def _emit(
@@ -159,8 +148,7 @@ def cmd_group_verify(args: argparse.Namespace) -> int:
 # xi
 
 
-def _xi_row(job: tuple[int, Fraction]) -> dict:
-    k, tol = job
+def _xi_row(k: int, tol: Fraction) -> dict:
     x = intervals.xi(k, tol)
     row = {"k": k, "provenance": f"{TAG_INTERVAL} {TAG_LIMIT}"}
     row.update(_iv_cols(x, "xi"))
@@ -191,8 +179,7 @@ XI_COLUMNS = [
 
 
 def cmd_xi(args: argparse.Namespace) -> int:
-    jobs = [(k, args.tol) for k in _range_from(None, args.kmax, "k")]
-    rows = _pmap(_xi_row, jobs, args.threads)
+    rows = [_xi_row(k, args.tol) for k in _range_from(None, args.kmax, "k")]
     _emit(
         args,
         "xi",
@@ -227,9 +214,12 @@ DENSITY_COLUMNS = [
 ]
 
 
-def _density_row(job: tuple) -> dict:
-    n, k, genset_name, mode, cap, boundary, order = job
-    genset = group.by_name(genset_name)
+def _density_row(
+    n: int, k: int, genset: group.GenSetSpec, args: argparse.Namespace, order: int
+) -> dict:
+    """One row of the density table; args gives --genset's name, --mode,
+    --cap and --boundary."""
+    mode, cap = args.mode, args.cap
     # A custom set is read on the embedded image, whose n <= 12 refusal
     # comes before the census' own input checks.
     emb = census.embed(n, k, cap=cap) if genset.name == "custom" else None
@@ -245,7 +235,7 @@ def _density_row(job: tuple) -> dict:
     row = {
         "n": n,
         "k": k,
-        "genset": genset_name,
+        "genset": args.genset,
         "vertices": st.vertices,
         "degree_sum": st.degree_sum,
         "density_num": st.density.numerator,
@@ -260,8 +250,8 @@ def _density_row(job: tuple) -> dict:
         bp = counts.bprime()
         row["bprime_density_num"] = bp.density.numerator
         row["bprime_density_den"] = bp.density.denominator
-    compute_boundary = boundary == "always" or (
-        boundary == "auto" and n <= 10 and mode != "dp"
+    compute_boundary = args.boundary == "always" or (
+        args.boundary == "auto" and n <= 10 and mode != "dp"
     )
     if compute_boundary:
         row["outer_boundary"] = (
@@ -273,14 +263,12 @@ def _density_row(job: tuple) -> dict:
 
 
 def cmd_density(args: argparse.Namespace) -> int:
-    # Rows parse the name again in their own process; this refuses a bad
-    # one as input before any row runs.
     try:
-        group.by_name(args.genset)
+        genset = group.by_name(args.genset)
     except ValueError as exc:
         raise UsageError(f"bad --genset {args.genset!r}: {exc}") from None
-    jobs = _grid(args, args.genset, args.mode, args.cap, args.boundary)
-    rows = _pmap(_density_row, jobs, args.threads)
+    pairs, order = _grid(args)
+    rows = [_density_row(n, k, genset, args, order) for n, k in pairs]
     _emit(args, "density", rows, DENSITY_COLUMNS)
     return 0
 
@@ -304,8 +292,8 @@ def _range_from(single: Optional[int], upto: Optional[int], name: str) -> list[i
     return list(range(1 if name == "n" else 0, _index(upto, f"--{name}max") + 1))
 
 
-def _grid(args: argparse.Namespace, *fields) -> list[tuple]:
-    """Jobs (n, k, *fields, order) of a density or isolated table.  Every
+def _grid(args: argparse.Namespace) -> tuple[list[tuple[int, int]], int]:
+    """The (n, k) pairs of a density or isolated table, and its order.  Every
     row reads the dp series and the census walk at the table's largest n,
     so each k builds its series once and walks once (the coefficients do
     not depend on the order, and the walk tallies every smaller n on the
@@ -313,17 +301,19 @@ def _grid(args: argparse.Namespace, *fields) -> list[tuple]:
     table's first enumerated row is refused, before any walk."""
     ns = _range_from(args.n, args.nmax, "n")
     ks = _range_from(args.k, args.kmax, "k")
-    return [(n, k, *fields, max(ns)) for n in ns for k in ks]
+    return [(n, k) for n in ns for k in ks], max(ns)
 
 
 # ---------------------------------------------------------------------------
 # theorem1
 
 
-def _theorem1_row(job: tuple[int, Fraction]) -> dict:
-    k, tol = job
-    lf = intervals.limit_fractions(k, tol)
-    cube_quarter = lf.xi * lf.xi * lf.xi * Fraction(1, 4)
+def _cube_quarter(lf: intervals.LimitFractions) -> intervals.CertifiedInterval:
+    return lf.xi * lf.xi * lf.xi * Fraction(1, 4)
+
+
+def _theorem1_row(k: int, lf: intervals.LimitFractions) -> dict:
+    cube_quarter = _cube_quarter(lf)
     row = {"k": k, "provenance": f"{TAG_INTERVAL} {TAG_LIMIT}"}
     row.update(_iv_cols(lf.xi, "xi"))
     row.update(_iv_cols(lf.isolated_fraction, "p_inf"))
@@ -332,8 +322,6 @@ def _theorem1_row(job: tuple[int, Fraction]) -> dict:
     row["p_inf_ge_xi3_over_4"] = (
         "certified" if lf.isolated_fraction.lo >= cube_quarter.hi else "UNDECIDED"
     )
-    row["_bprime_lo"] = lf.bprime_density.lo
-    row["_cube_mid"] = cube_quarter.mid
     return row
 
 
@@ -355,21 +343,23 @@ THEOREM1_COLUMNS = [
 def cmd_theorem1(args: argparse.Namespace) -> int:
     if args.kmax < 1:
         raise UsageError("--kmax must be at least 1")
-    jobs = [(k, args.tol) for k in range(1, args.kmax + 1)]
-    rows = _pmap(_theorem1_row, jobs, args.threads)
-    first_witness = next((r["k"] for r in rows if r["_bprime_lo"] > 3), None)
-    sup_row = max(rows, key=lambda r: r["_bprime_lo"])
+    ks = range(1, args.kmax + 1)
+    limits = {k: intervals.limit_fractions(k, args.tol) for k in ks}
+    rows = [_theorem1_row(k, lf) for k, lf in limits.items()]
+    bprime_lo = {k: lf.bprime_density.lo for k, lf in limits.items()}
+    first_witness = next((k for k, lo in bprime_lo.items() if lo > 3), None)
+    sup_k = max(bprime_lo, key=bprime_lo.get)
     swap_ok = all(r["p_inf_ge_xi3_over_4"] == "certified" for r in rows)
-    cube_gap = abs(rows[-1]["_cube_mid"] - Fraction(1, 256))
+    cube_gap = abs(_cube_quarter(limits[args.kmax]).mid - Fraction(1, 256))
     _emit(
         args,
         "theorem1",
         rows,
         THEOREM1_COLUMNS,
         first_k_bprime_above_3=first_witness,
-        sup_bprime_lo=_decimal(sup_row["_bprime_lo"], mode="floor"),
-        sup_at_k=sup_row["k"],
-        sup_exceeds_3_011=bool(sup_row["_bprime_lo"] > Fraction(3011, 1000)),
+        sup_bprime_lo=_decimal(bprime_lo[sup_k], mode="floor"),
+        sup_at_k=sup_k,
+        sup_exceeds_3_011=bool(bprime_lo[sup_k] > Fraction(3011, 1000)),
         swap_bound_certified_all_k=swap_ok,
         xi3_over_4_gap_to_1_256=_decimal(cube_gap, mode="ceil"),
     )
@@ -388,8 +378,7 @@ def cmd_theorem1(args: argparse.Namespace) -> int:
 # theorem2
 
 
-def _theorem2_row(job: tuple[int, Fraction]) -> dict:
-    k, tol = job
+def _theorem2_row(k: int, tol: Fraction) -> dict:
     x = intervals.xi(k, tol)
     t = 3 * x
     row = {"k": k, "provenance": f"{TAG_INTERVAL} {TAG_LIMIT}"}
@@ -419,8 +408,7 @@ def cmd_theorem2(args: argparse.Namespace) -> int:
         raise UsageError("--kmax must be at least 1")
     if args.n_small < 1:
         raise UsageError("--n-small must be at least 1")
-    jobs = [(k, args.tol) for k in range(1, args.kmax + 1)]
-    rows = _pmap(_theorem2_row, jobs, args.threads)
+    rows = [_theorem2_row(k, args.tol) for k in range(1, args.kmax + 1)]
     k0 = next((r["k"] for r in rows if r["below_1"] == "certified"), None)
     tail_ok = k0 is not None and all(
         r["below_1"] == "certified" for r in rows if r["k"] >= k0
@@ -469,20 +457,15 @@ def cmd_theorem2(args: argparse.Namespace) -> int:
 # embed-verify
 
 
-def _embed_summary(n: int, k: int, emb: census.Embedding) -> dict:
+def _embed_summary(emb: census.Embedding) -> dict:
     return {
-        "n": n,
-        "k": k,
+        "n": emb.n,
+        "k": emb.k,
         "forests": len(emb.flat),
         "distinct_elements": len(emb.image()),
         "status": "consistent+injective",
         "provenance": TAG_ENUM,
     }
-
-
-def _embed_row(job: tuple[int, int, int]) -> dict:
-    n, k, cap = job
-    return _embed_summary(n, k, census.embed(n, k, cap=cap))
 
 
 EMBED_COLUMNS = ["n", "k", "forests", "distinct_elements", "status", "provenance"]
@@ -504,7 +487,7 @@ def cmd_embed_verify(args: argparse.Namespace) -> int:
             raise UsageError("--list requires explicit --n and --k")
         n, k = _index(args.n, "--n"), _index(args.k, "--k")
         emb = census.embed(n, k, cap=args.cap)
-        rows = [_embed_summary(n, k, emb)] + [
+        rows = [_embed_summary(emb)] + [
             {
                 "n": n,
                 "k": k,
@@ -521,8 +504,8 @@ def cmd_embed_verify(args: argparse.Namespace) -> int:
     # A lone --n or --k fixes that index; --nmax and --kmax have defaults.
     ns = _range_from(args.n, args.nmax if args.n is None else None, "n")
     ks = _range_from(args.k, args.kmax if args.k is None else None, "k")
-    jobs = [(n, k, args.cap) for n in ns for k in ks]
-    _emit(args, "embed-verify", _pmap(_embed_row, jobs, args.threads), EMBED_COLUMNS)
+    rows = [_embed_summary(census.embed(n, k, cap=args.cap)) for n in ns for k in ks]
+    _emit(args, "embed-verify", rows, EMBED_COLUMNS)
     return 0
 
 
@@ -547,9 +530,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _isolated_row(job: tuple) -> dict:
-    n, k, mode, cap, order = job
-    counts = census.census_counts(n, k, mode, cap, order)
+def _isolated_row(n: int, k: int, args: argparse.Namespace, order: int) -> dict:
+    counts = census.census_counts(n, k, args.mode, args.cap, order)
     return {
         "n": n,
         "k": k,
@@ -557,12 +539,13 @@ def _isolated_row(job: tuple) -> dict:
         "trivial_marked": counts.trivial,
         "x1inv_blocked": counts.trivial,
         "isolated": counts.isolated,
-        "provenance": _PROVENANCE[mode],
+        "provenance": _PROVENANCE[args.mode],
     }
 
 
 def cmd_isolated(args: argparse.Namespace) -> int:
-    rows = _pmap(_isolated_row, _grid(args, args.mode, args.cap), args.threads)
+    pairs, order = _grid(args)
+    rows = [_isolated_row(n, k, args, order) for n, k in pairs]
     columns = ["n", "k", "beta", "trivial_marked", "x1inv_blocked", "isolated", "provenance"]
     _emit(args, "isolated", rows, columns)
     return 0
@@ -580,7 +563,9 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(p: argparse.ArgumentParser, fmt_default: str) -> None:
     p.add_argument("--out", help="output file (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default=fmt_default)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility (at least 1); selects "
+                   "nothing, every command runs in one process")
     p.add_argument("--cap", type=int, default=census.DEFAULT_CAP,
                    help="enumeration cap (refuse larger censuses)")
 

@@ -1,5 +1,6 @@
 """The command-line interface: exit codes, schemas, determinism."""
 
+import argparse
 import ast
 import csv
 import hashlib
@@ -99,30 +100,38 @@ def test_out_unwritable_exits_3(tmp_path, capsys, target):
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["a_directory"]
 
 
-def test_pmap_pool_no_larger_than_items(monkeypatch):
-    # A fake executor records the pool size; no process is started.
+ONE_PROCESS_COMMANDS = [
+    ["xi", "--kmax", "6"],
+    ["isolated", "--nmax", "6", "--kmax", "2"],
+    ["density", "--nmax", "5", "--kmax", "1", "--genset", "extended"],
+    ["density", "--nmax", "3", "--k", "1", "--genset", "custom:x0,x1,x2"],
+    ["theorem1", "--kmax", "50"],
+    ["theorem2", "--kmax", "8", "--n-small", "5"],
+    ["embed-verify", "--nmax", "4", "--kmax", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", ONE_PROCESS_COMMANDS, ids=lambda a: " ".join(a))
+def test_no_subcommand_starts_a_process(monkeypatch, capsys, argv):
+    # Every command runs in one process, so --threads 2 exits and prints
+    # as --threads 1 does even when no process can be started.
     import concurrent.futures
+    import multiprocessing.process
 
-    sizes = []
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a subcommand tried to start a process")
 
-    class FakePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    assert cli._pmap(abs, [-1, -2], 64) == [1, 2]
-    assert cli._pmap(abs, [-1, -2, -3], 2) == [1, 2, 3]
-    assert cli._pmap(abs, [-1], 64) == [1]
-    assert sizes == [2, 2]
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    # multiprocessing.Process and the pool's worker classes all start
+    # through BaseProcess.start.
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    results = []
+    for threads in ("1", "2"):
+        rc = cli.main(argv + ["--threads", threads])
+        results.append((rc, capsys.readouterr()))
+    (rc1, one), (rc2, two) = results
+    assert rc1 == rc2 == 0, one.err + two.err
+    assert (one.out, one.err) == (two.out, two.err)
 
 
 def test_density_csv_golden_row(tmp_path):
@@ -186,7 +195,10 @@ def test_density_row_counts_once(monkeypatch, mode, trunc, walks, orders, genset
     monkeypatch.setattr(census, "_walk", counting_walk)
     monkeypatch.setattr(census, "count_series", counting_series)
     census._walked.cache_clear()
-    row = cli._density_row((10, 3, genset, mode, census.DEFAULT_CAP, "never", trunc))
+    args = argparse.Namespace(
+        genset=genset, mode=mode, cap=census.DEFAULT_CAP, boundary="never"
+    )
+    row = cli._density_row(10, 3, group.by_name(genset), args, trunc)
     assert row["vertices"] == 11932
     assert seen == {"walks": walks, "orders": orders}
 
