@@ -24,13 +24,17 @@ per-row boundaries and make 6 |B(n, k)| products.  The last column is
 the tracemalloc peak of one more untimed statistics pass at (n, k)
 itself, the embedding built before tracing starts, in MB.
 
-census: for --census N:K, one walk census._walk(N, K) on the exact-height
-table _height_table(N, K), in seconds (minimum over the repeats).  The
-default 312:10 is the size of Theorem 2's finite witness.  The rows are
-n in [N-4, N], all read from that one walk, each with the walk's time.
-Every row's total must equal |B(n, K)|, its tallies must equal those the
-series read count_series(K, N).at(n) gives, and its x1^-1 blocked count
-must equal the series' trivial tally.
+census: for --census N:K, the whole walk route of census_counts at depth
+N, in seconds (minimum over the repeats): the exact-height table
+_height_table(N, K) from an empty count_trees cache, the walk
+census._walk(N, K) on it, and the one recursion table
+forests._seq_counts(N, K) that checks it, from an empty cache; then the
+route's total, the sum of the three.  The default 312:10 is the size of
+Theorem 2's finite witness.  The rows are n in [N-4, N], all read from
+that one walk, each with the route's times.  Every row's total and edge
+tally must equal the recursion table's slot n, its tallies must equal
+those the series read count_series(K, N).at(n) gives, and its x1^-1
+blocked count must equal the series' trivial tally.
 
 series: for each N:K in --series, the three steps of count_series(K, N),
 each repeat starting from empty _phi_chain and count_series caches:
@@ -134,20 +138,28 @@ def bench_embedding(n: int, k: int, repeats: int) -> None:
 
 
 def bench_census(n: int, k: int, repeats: int) -> None:
-    table = census._height_table(n, k)
-    best = float("inf")
+    best = [float("inf")] * 3
     for _ in range(repeats):
+        forests.count_trees.cache_clear()
+        forests._seq_counts.cache_clear()
         t0 = time.perf_counter()
+        table = census._height_table(n, k)
+        t1 = time.perf_counter()
         walked = census._walk(n, k, table)
-        best = min(best, time.perf_counter() - t0)
+        t2 = time.perf_counter()
+        recursion = forests._seq_counts(n, k)
+        t3 = time.perf_counter()
+        best = [min(b, t) for b, t in zip(best, (t1 - t0, t2 - t1, t3 - t2))]
     fam = series.count_series(k, n)
-    _print_row(["n", "k", "|B(n,k)|", "walk (s)"])
+    _print_row(["n", "k", "|B(n,k)|", "table (s)", "walk (s)", "recursion (s)",
+                "route (s)"])
     for nn in range(max(1, n - 4), n + 1):
         tallies, merge_blocked = walked[nn]
-        assert tallies.total == forests.count_bb(nn, k), "walk total != |B(n,k)|"
+        assert (tallies.edge, tallies.total) == recursion[nn], "walk != recursion"
         dp = fam.at(nn)
         assert tallies == dp and merge_blocked == dp.trivial, "walk != dp"
-        _print_row([nn, k, tallies.total, f"{best:.4f}"])
+        _print_row([nn, k, tallies.total, *(f"{b:.4f}" for b in best),
+                    f"{sum(best):.4f}"])
 
 
 def bench_series(cases: list[tuple[int, int]], repeats: int) -> None:

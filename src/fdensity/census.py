@@ -5,9 +5,9 @@ counts of B(n, k) with running sums per state of the last tree (`_walk`),
 `dp` reads coefficients of the exact counting series; they must agree
 integer-for-integer.  Each route is built once per k for a whole table:
 one walk to the table's largest n tallies every smaller n on the way, as
-one truncated series holds every coefficient below its order.  The
-enumeration cap bounds that one walk, so a table whose largest
-|B(n, k)| is over the cap is refused before any row walks.
+one truncated series holds every coefficient below its order.  The walk
+is bounded by its own cost (WALK_WORK_CAP); the enumeration cap bounds
+only what visits forests, embed and forests.enumerate_bb.
 
 Densities follow delta(Y) = degree_sum / #Y; together with the Cheeger
 count #d*Y (directed edges leaving Y) this satisfies
@@ -40,6 +40,7 @@ from .forests import (
     count_trees_exact_height,
     encode_forest,
     enumerate_bb,  # unused here; perfbench traces it as census.enumerate_bb
+    _census_work,
     _count_bb_within_cap,
     _seq_counts,
 )
@@ -53,6 +54,9 @@ from .group import (
 from .series import CensusTallies, count_series
 
 EMBED_N_CAP = 12
+# The walk route's bound on _census_work(depth, k): 2.4e7 at (1017, 23),
+# Theorem 1's once-peeled witness (13 s), 5.2e7 at (512, 200) (13 s).
+WALK_WORK_CAP = 3 * 10**7
 
 # The generator each action label multiplies by, and the label of each.
 _ACTION_STEPS = dict(GenSetSpec.extended().signed())
@@ -210,7 +214,6 @@ def census_counts(
     n: int,
     k: int,
     mode: str = "enumerate",
-    cap: int = DEFAULT_CAP,
     trunc: Optional[int] = None,
 ) -> CensusCounts:
     """The tallies over B(n, k) by the chosen route.
@@ -219,29 +222,34 @@ def census_counts(
     n; a larger order gives the same coefficients, as the prefix of a
     truncated product is stable, and a deeper walk the same slot n): a
     table passes its largest n, so every row reads one cached walk per k,
-    as it reads one series.  The cap bounds |B(trunc, k)|, the census the
-    walk builds, so enumerate and both raise CapExceeded when that is over
-    the cap, even if |B(n, k)| is within it.
-
-    The enumerate route checks the walk's total and edge tallies against
-    the recursion, and its x1^-1 blocked count against `trivial` (the
-    series identity; see CensusTallies.per_label_blocked).
+    as it reads one series.  The walk visits no forest, so no enumeration
+    cap applies: enumerate and both raise CapExceeded when the walk's work
+    _census_work(trunc, k) is over WALK_WORK_CAP, even where that at n is
+    not.  The enumerate route checks the walk's total and edge tallies
+    against slot n of the one recursion table per walk (_seq_counts), and
+    its x1^-1 blocked count against `trivial` (the series identity; see
+    CensusTallies.per_label_blocked).
     """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
     if trunc is not None and trunc < n:
         raise ValueError(f"series truncation {trunc} cannot cover [z^{n}]")
     if mode == "both":
-        a = census_counts(n, k, "enumerate", cap, trunc)
-        b = census_counts(n, k, "dp", cap, trunc)
+        a = census_counts(n, k, "enumerate", trunc)
+        b = census_counts(n, k, "dp", trunc)
         if a != b:
             raise AssertionError(f"enumerate/dp disagree at n={n} k={k}: {a} {b}")
         return a
     if mode == "enumerate":
         depth = n if trunc is None else trunc
-        _count_bb_within_cap(depth, k, cap)
+        work = _census_work(depth, k)
+        if work > WALK_WORK_CAP:
+            raise CapExceeded(
+                f"census walk to depth {depth} at k = {k}: depth^2 max(1, "
+                f"min(k, depth)) = {work} exceeds walk bound {WALK_WORK_CAP}"
+            )
         tallies, merge_blocked = _walked(depth, k)[n]
-        if (tallies.edge, tallies.total) != _seq_counts(n, k):
+        if (tallies.edge, tallies.total) != _seq_counts(depth, k)[n]:
             raise AssertionError(
                 f"census walk counts disagree with recursion at n={n} k={k}"
             )

@@ -196,21 +196,9 @@ def cmd_xi(args: argparse.Namespace) -> int:
 
 
 DENSITY_COLUMNS = [
-    "n",
-    "k",
-    "genset",
-    "vertices",
-    "degree_sum",
-    "density_num",
-    "density_den",
-    "density",
-    "cheeger",
-    "outer_boundary",
-    "isolated",
-    "bprime_density_num",
-    "bprime_density_den",
-    "doubling_upper_bound",
-    "provenance",
+    "n", "k", "genset", "vertices", "degree_sum", "density_num", "density_den",
+    "density", "cheeger", "outer_boundary", "isolated", "bprime_density_num",
+    "bprime_density_den", "doubling_upper_bound", "provenance",
 ]
 
 
@@ -218,12 +206,12 @@ def _density_row(
     n: int, k: int, genset: group.GenSetSpec, args: argparse.Namespace, order: int
 ) -> dict:
     """One row of the density table; args gives --genset's name, --mode,
-    --cap and --boundary."""
+    --boundary and --cap, the bound of the row's embeddings."""
     mode, cap = args.mode, args.cap
     # A custom set is read on the embedded image, whose n <= 12 refusal
     # comes before the census' own input checks.
     emb = census.embed(n, k, cap=cap) if genset.name == "custom" else None
-    counts = census.census_counts(n, k, mode, cap, order)
+    counts = census.census_counts(n, k, mode, order)
     if emb is None:
         st, prov = counts.stats(genset), _PROVENANCE[mode]
     else:
@@ -297,8 +285,9 @@ def _grid(args: argparse.Namespace) -> tuple[list[tuple[int, int]], int]:
     row reads the dp series and the census walk at the table's largest n,
     so each k builds its series once and walks once (the coefficients do
     not depend on the order, and the walk tallies every smaller n on the
-    way).  The cap bounds that walk: if |B(max n, k)| is over it, the
-    table's first enumerated row is refused, before any walk."""
+    way).  That walk is bounded by its own cost, not by --cap: if
+    census.WALK_WORK_CAP refuses the largest n, the table's first
+    enumerated row is refused, before any walk."""
     ns = _range_from(args.n, args.nmax, "n")
     ks = _range_from(args.k, args.kmax, "k")
     return [(n, k) for n in ns for k in ks], max(ns)
@@ -414,12 +403,10 @@ def cmd_theorem2(args: argparse.Namespace) -> int:
         r["below_1"] == "certified" for r in rows if r["k"] >= k0
     )
     # Each check row reads the one walk to --n-small per k, as in _grid, all
-    # before the one embedding, so a cap refusal names the first row over it.
+    # before the one embedding, which alone reads --cap.
     kmax = min(3, args.kmax)
     bounds = {
-        (n, k): census.census_counts(
-            n, k, cap=args.cap, trunc=args.n_small
-        ).doubling_bound()
+        (n, k): census.census_counts(n, k, trunc=args.n_small).doubling_bound()
         for n in range(1, args.n_small + 1)
         for k in range(kmax + 1)
     }
@@ -531,7 +518,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _isolated_row(n: int, k: int, args: argparse.Namespace, order: int) -> dict:
-    counts = census.census_counts(n, k, args.mode, args.cap, order)
+    counts = census.census_counts(n, k, args.mode, order)
     return {
         "n": n,
         "k": k,
@@ -567,7 +554,8 @@ def _add_common(p: argparse.ArgumentParser, fmt_default: str) -> None:
                    help="accepted for compatibility (at least 1); selects "
                    "nothing, every command runs in one process")
     p.add_argument("--cap", type=int, default=census.DEFAULT_CAP,
-                   help="enumeration cap (refuse larger censuses)")
+                   help="most forests an embedding or enumerate visits (the "
+                   "census walk has its own bound)")
 
 
 def _tol(text: str) -> Fraction:

@@ -44,7 +44,7 @@ LEAF: Tree = None
 
 ACTION_LABELS = ("x0", "x0^-1", "x1", "x1^-1", "x1bar", "x1bar^-1")
 
-# The largest census a caller builds unless it passes its own cap.
+# The most forests embed or enumerate_bb visits unless given a cap.
 DEFAULT_CAP = 10**8
 
 
@@ -227,25 +227,19 @@ def moves_x1bar_as_x1(
 
 
 @lru_cache(maxsize=None)
-def _seq_counts(n: int, k: int) -> tuple[int, int]:
-    """(number of tree sequences with n total leaves, total tree count over
-    them), all heights <= k.  Built bottom-up over m = 0..n, so no
-    recursion depth grows with n."""
-    trees = [
-        (ln, t) for ln in range(1, n + 1) if (t := count_trees(ln, min(k, ln - 1)))
-    ]
-    seqs = [1]
-    marks = [0]
-    for m in range(1, n + 1):
-        s = b = 0
-        for ln, t in trees:
-            if ln > m:
-                break
-            s += t * seqs[m - ln]
-            b += t * (marks[m - ln] + seqs[m - ln])
+def _seq_counts(n: int, k: int) -> list[tuple[int, int]]:
+    """For every m = 0..n, (number of tree sequences with m total leaves,
+    total tree count over them), all heights <= k, in one bottom-up table
+    per (n, k): no recursion depth grows with n.  Appending a last tree of
+    l <= 2^k leaves to a sequence of m - l leaves adds one tree."""
+    top = min(n, 2 ** min(k, n))
+    trees = [count_trees(l, min(k, l - 1)) for l in range(1, top + 1)]
+    seqs, marks = [1], [0]
+    for _ in range(n):
+        s = sum(map(mul, trees, reversed(seqs)))
         seqs.append(s)
-        marks.append(b)
-    return (seqs[n], marks[n])
+        marks.append(s + sum(map(mul, trees, reversed(marks))))
+    return list(zip(seqs, marks))
 
 
 def count_bb(n: int, k: int) -> int:
@@ -254,23 +248,29 @@ def count_bb(n: int, k: int) -> int:
         raise ValueError("n must be positive")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return _seq_counts(n, k)[1]
+    return _seq_counts(n, k)[n][1]
 
 
-# Up to this many steps (n^2 min(k, n), about 50 ms) the exact |B(n, k)| is
-# computed even for a census that is refused, so the message can name it.
+def _census_work(n: int, k: int) -> int:
+    """The order of the products that count B(n, k) exactly: count_trees to
+    (n, k) takes O(n^2 min(k, n)), a pass over leaf-count pairs O(n^2)."""
+    return n * n * max(1, min(k, n))
+
+
+# Up to this much work (about 50 ms) the exact |B(n, k)| is computed even
+# for a census that is refused, so the message can name it.
 _EXACT_COUNT_WORK = 10**6
 
 
 def _count_bb_within_cap(n: int, k: int, cap: int) -> int:
     """|B(n, k)|, or CapExceeded when it is above cap.
 
-    The exact count takes O(n^2 min(k, n)) steps; B(n, min(k, 2)) is a
-    subset of B(n, k) counted in O(n).  When the exact count is costly and
+    The exact count takes _census_work(n, k) steps; B(n, 2) is a subset of
+    B(n, k) for k > 2, counted in O(n).  When the exact count is costly and
     that subset alone is over the cap, the census is refused without it.
     """
-    low = count_bb(n, min(k, 2))
-    if low > cap and n * n * min(k, n) > _EXACT_COUNT_WORK:
+    low = count_bb(n, 2)
+    if k > 2 and low > cap and _census_work(n, k) > _EXACT_COUNT_WORK:
         raise CapExceeded(
             f"|B({n},{k})| >= |B({n},2)| = {low} exceeds enumeration cap {cap}"
         )

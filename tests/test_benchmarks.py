@@ -38,8 +38,9 @@ def _table_row(lines, marker, offset):
 
 
 def test_bench_census_runs():
-    # The census layer of bench_layers.py walks B(n, 3) for n = 4..8; the
-    # other layers run at their smallest sizes.
+    # The census layer of bench_layers.py times the walk route to B(8, 3),
+    # its table, walk and recursion, and reads n = 4..8 from it; the other
+    # layers run at their smallest sizes.
     out = _run_bench(
         "bench_layers.py",
         [
@@ -53,6 +54,8 @@ def test_bench_census_runs():
         assert (row["n"], row["k"], row["|B(n,k)|"]) == (
             str(n), "3", str(count_bb(n, 3))
         )
+        parts = [float(row[c]) for c in ("table (s)", "walk (s)", "recursion (s)")]
+        assert abs(sum(parts) - float(row["route (s)"])) < 2e-4
 
 
 def test_bench_layers_runs():

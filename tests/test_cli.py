@@ -204,11 +204,17 @@ def test_density_row_counts_once(monkeypatch, mode, trunc, walks, orders, genset
 
 
 def test_walk_depth_over_cap_is_refused(monkeypatch):
-    # The cap bounds |B(trunc, k)|, the census the walk builds, so a depth
-    # over it is refused before any walk, though |B(10, 3)| is within it.
+    # The walk bound reads the walk's depth, trunc, not n: one under
+    # 40^2 * 3 refuses the walk to 40 before it runs, though the work at
+    # n = 10 is far within it.
     depths = _record_walks(monkeypatch)
-    with pytest.raises(CapExceeded, match=r"\|B\(40,3\)\|"):
-        census.census_counts(10, 3, "both", census.DEFAULT_CAP, 40)
+    monkeypatch.setattr(census, "WALK_WORK_CAP", 40 * 40 * 3 - 1)
+    with pytest.raises(CapExceeded) as refused:
+        census.census_counts(10, 3, "both", 40)
+    assert str(refused.value) == (
+        "census walk to depth 40 at k = 3: depth^2 max(1, min(k, depth)) = "
+        "4800 exceeds walk bound 4799"
+    )
     assert depths == []
 
 
@@ -254,47 +260,122 @@ def test_density_table_walks_once(monkeypatch, capsys):
 
 
 def test_walk_depth_stays_within_cap(monkeypatch, capsys):
-    # |B(9,3)| is over the cap, so the table is refused on its first row,
-    # before any walk, with the table unwritten.
-    depths = _record_walks(monkeypatch)
-    argv = ["density", "--nmax", "9", "--k", "3", "--mode", "both", "--cap", "2000",
+    # --cap bounds only what visits forests: far below |B(9,3)| = 4512, it
+    # leaves the walk and the table's bytes as they are.
+    argv = ["density", "--nmax", "9", "--k", "3", "--mode", "both",
             "--boundary", "never"]
-    assert cli.main(argv) == 2
-    assert depths == []
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "fdensity: not certified within budget: "
-        "|B(9,3)| = 4512 exceeds enumeration cap 2000\n"
-    )
-
-
-@pytest.mark.parametrize("cap, rc, walks", [(4512, 0, [(9, 3)]), (4511, 2, [])])
-def test_cap_bounds_the_table_walk(monkeypatch, capsys, cap, rc, walks):
-    # |B(9,3)| = 4512: at that cap the table walks once, to n = 9; one
-    # below it, the table is refused with no walk.
+    assert cli.main(argv) == 0
+    table = capsys.readouterr().out
     depths = _record_walks(monkeypatch)
-    argv = ["density", "--nmax", "9", "--k", "3", "--mode", "both", "--cap", str(cap),
+    assert cli.main(argv + ["--cap", "2000"]) == 0
+    assert depths == [(9, 3)]
+    assert capsys.readouterr().out == table
+
+
+@pytest.mark.parametrize("bound, rc, walks", [(243, 0, [(9, 3)]), (242, 2, [])])
+def test_walk_bound_refuses_the_table(monkeypatch, capsys, bound, rc, walks):
+    # 9^2 * 3 = 243: at that bound the table walks once, to n = 9; one
+    # below it, the table is refused on its first row, with no walk and
+    # the table unwritten.
+    depths = _record_walks(monkeypatch)
+    monkeypatch.setattr(census, "WALK_WORK_CAP", bound)
+    argv = ["density", "--nmax", "9", "--k", "3", "--mode", "both",
             "--boundary", "never"]
     assert cli.main(argv) == rc
     assert depths == walks
-    assert len(capsys.readouterr().out.splitlines()) == (10 if rc == 0 else 0)
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == (10 if rc == 0 else 0)
+    assert captured.err == ("" if rc == 0 else (
+        "fdensity: not certified within budget: census walk to depth 9 at "
+        "k = 3: depth^2 max(1, min(k, depth)) = 243 exceeds walk bound 242\n"
+    ))
 
 
 def test_table_over_default_cap_refused_before_walk(monkeypatch, capsys):
-    # Rows n <= 18 are within the default cap, but the table's largest n
-    # is not, so nothing is walked.
+    # 512^2 * 200 is over the default walk bound: the table is refused on
+    # its first row, before the walk and its exact-height table, whose
+    # O(n^2 min(k, n)) products the depth alone does not bound.
     depths = _record_walks(monkeypatch)
-    argv = ["density", "--nmax", "21", "--k", "4", "--mode", "both",
+    tables = []
+    monkeypatch.setattr(census, "_height_table", lambda *a: tables.append(a))
+    t0 = time.monotonic()
+    argv = ["density", "--nmax", "512", "--k", "200", "--mode", "both",
             "--boundary", "never"]
     assert cli.main(argv) == 2
-    assert depths == []
+    assert time.monotonic() - t0 < 1
+    assert depths == tables == []
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "fdensity: not certified within budget: "
-        "|B(21,4)| = 1953042636 exceeds enumeration cap 100000000\n"
+        "fdensity: not certified within budget: census walk to depth 512 at "
+        "k = 200: depth^2 max(1, min(k, depth)) = 52428800 exceeds walk "
+        "bound 30000000\n"
     )
+
+
+def test_table_over_enumeration_cap_walks_once(monkeypatch, capsys):
+    # |B(21,4)| is far over --cap, which does not bound the walk: every
+    # row reads the one walk to 21.
+    depths = _record_walks(monkeypatch)
+    argv = ["density", "--nmax", "21", "--k", "4", "--mode", "both",
+            "--boundary", "never"]
+    assert cli.main(argv) == 0
+    assert depths == [(21, 4)]
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [r["n"] for r in rows] == [str(n) for n in range(1, 22)]
+    assert rows[-1]["vertices"] == "1953042636"
+
+
+def test_density_table_builds_one_recursion_table_per_k(monkeypatch, capsys):
+    # Every row's recursion check reads slot n of the one _seq_counts
+    # table to the table's largest n, as it reads the one walk.
+    real = census._seq_counts
+    calls = []
+    monkeypatch.setattr(
+        census, "_seq_counts", lambda n, k: calls.append((n, k)) or real(n, k)
+    )
+    real.cache_clear()
+    argv = ["density", "--nmax", "10", "--kmax", "2", "--mode", "both",
+            "--boundary", "never"]
+    assert cli.main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 31
+    assert len(calls) == 30 and set(calls) == {(10, 0), (10, 1), (10, 2)}
+    assert real.cache_info().misses == 3
+
+
+# |B(n, 10)| and its doubling bound 3 trivial + 3 edge, extended set.
+_THEOREM2_WITNESS = {
+    312: (
+        "1263437874912190911015253387606809130901929908915352313553079107297149"
+        "0194033089197039423640187829153352663499132284582295948949575299299006"
+        "0472924440563148377616112544",
+        "1263068821558789663169765945193811844234164604510261322580176215716146"
+        "4265460802334462905387386747848361413573828124962346924399980099249591"
+        "3740455922746143285134828032",
+    ),
+    311: (
+        "3682453426285616091415262770035132744569206907875626154160560185795159"
+        "7548929721427377890390019289515215097499497415355304633720300356091815"
+        "091701322404543285698489816",
+        "3682774562820761797213574832563228566300887038900326263257150775754817"
+        "5851101907951022875220329505565895515545749270791146821734673874261378"
+        "522489459927716826367355696",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [312, 311])
+def test_theorem2_witness_through_both_routes(capsys, n):
+    # The walk and the series agree on B(312, 10), the first n at k = 10
+    # where the doubling bound on #dY is below |Y|; at 311 it is above.
+    argv = ["density", "--n", str(n), "--k", "10", "--genset", "extended",
+            "--mode", "both", "--boundary", "never"]
+    assert cli.main(argv) == 0
+    (row,) = csv.DictReader(capsys.readouterr().out.splitlines())
+    assert (row["vertices"], row["doubling_upper_bound"]) == _THEOREM2_WITNESS[n]
+    assert row["provenance"] == "[exact-enumeration] [exact-dp]"
+    below = int(row["doubling_upper_bound"]) < int(row["vertices"])
+    assert below == (n == 312)
 
 
 @pytest.mark.parametrize(
@@ -359,16 +440,20 @@ def test_density_custom_row_embeds_once(monkeypatch, tmp_path):
 
 
 def test_large_n_refused_by_cap(capsys):
-    # |B(1000, 3)| is counted before the cap check, with no recursion limit.
-    assert cli.main(["density", "--n", "1000", "--k", "3", "--boundary", "never"]) == 2
+    # |B(1000, 3)| is over the enumeration cap, which bounds enumerate.
+    assert cli.main(["enumerate", "--n", "1000", "--k", "3"]) == 2
     assert "exceeds enumeration cap" in capsys.readouterr().err
-    # The exact |B(1000, 1000)| takes O(n^3) steps; B(1000, 2), a subset
-    # already over the cap, refuses it first.
+    # The walk's table to B(1000, 1000) takes O(n^3) products; its work,
+    # over the walk bound, refuses it at once.
     t0 = time.monotonic()
     argv = ["density", "--n", "1000", "--k", "1000", "--boundary", "never"]
     assert cli.main(argv) == 2
-    assert time.monotonic() - t0 < 10
-    assert "exceeds enumeration cap" in capsys.readouterr().err
+    assert time.monotonic() - t0 < 1
+    assert capsys.readouterr().err == (
+        "fdensity: not certified within budget: census walk to depth 1000 at "
+        "k = 1000: depth^2 max(1, min(k, depth)) = 1000000000 exceeds walk "
+        "bound 30000000\n"
+    )
 
 
 def test_cap_refuses_from_bb2_without_exact_count(monkeypatch, capsys):
@@ -382,7 +467,7 @@ def test_cap_refuses_from_bb2_without_exact_count(monkeypatch, capsys):
         return real(n, k)
 
     monkeypatch.setattr(forests, "_seq_counts", recording)
-    assert cli.main(["isolated", "--nmax", "600", "--k", "24", "--mode", "both"]) == 2
+    assert cli.main(["enumerate", "--n", "600", "--k", "24"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert "|B(600,24)| >= |B(600,2)| = " in err

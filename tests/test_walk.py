@@ -50,18 +50,6 @@ def test_walk_tallies_every_depth():
             assert walked == [oracle[s, k] for s in range(n + 1)], (n, k)
 
 
-def test_walk_matches_series_every_slot_at_n64():
-    # |B(64, 6)| is far over the cap, so _walk is called directly; a walk
-    # over height profiles would not finish at this depth.
-    n, k = 64, 6
-    walked = census._walk(n, k, census._height_table(n, k))
-    fam = series.count_series(k, n)
-    for s in range(1, n + 1):
-        tallies, merge_blocked = walked[s]
-        assert tallies == fam.at(s) and merge_blocked == tallies.trivial, s
-    assert walked[0] == (series.CensusTallies(0, 0, 0, 0), 0)
-
-
 @pytest.fixture
 def fresh_walks():
     """An empty walk cache, so that a patched walk really runs, and none of
@@ -69,6 +57,23 @@ def fresh_walks():
     census._walked.cache_clear()
     yield
     census._walked.cache_clear()
+
+
+def test_walk_matches_series_every_slot_at_n64(monkeypatch, fresh_walks):
+    # Every slot of one walk to 64, read through the census: each row
+    # checks its slot against the series, the x1^-1 identity and slot n of
+    # one recursion table.  A walk over height profiles would not finish
+    # at this depth.
+    n, k = 64, 6
+    real = census._walk
+    walks = []
+    monkeypatch.setattr(census, "_walk", lambda *a: walks.append(a[:2]) or real(*a))
+    forests._seq_counts.cache_clear()
+    fam = series.count_series(k, n)
+    for s in range(1, n + 1):
+        assert census.census_counts(s, k, "both", n).total == fam.at(s).total, s
+    assert walks == [(n, k)] and forests._seq_counts.cache_info().misses == 1
+    assert census._walked(n, k)[0] == (series.CensusTallies(0, 0, 0, 0), 0)
 
 
 def test_walk_agrees_with_series_at_n18():
