@@ -25,16 +25,16 @@ the tracemalloc peak of one more untimed statistics pass at (n, k)
 itself, the embedding built before tracing starts, in MB.
 
 census: for --census N:K, the whole walk route of census_counts at depth
-N, in seconds (minimum over the repeats): the exact-height table
-_height_table(N, K) from an empty count_trees cache, the walk
-census._walk(N, K) on it, and the one recursion table
-forests._seq_counts(N, K) that checks it, from an empty cache; then the
-route's total, the sum of the three.  The default 312:10 is the size of
-Theorem 2's finite witness.  The rows are n in [N-4, N], all read from
-that one walk, each with the route's times.  Every row's total and edge
-tally must equal the recursion table's slot n, its tallies must equal
-those the series read count_series(K, N).at(n) gives, and its x1^-1
-blocked count must equal the series' trivial tally.
+N, in seconds (minimum over the repeats): the walk's tree counts
+forests.count_trees(l, K) and count_trees(l, K - 1) for 2 <= l <= N, from
+an empty cache, the walk census._walk(N, K) that reads them, and the one
+recursion table forests._seq_counts(N, K) that checks it, from an empty
+cache; then the route's total, the sum of the three.  The default 312:10
+is the size of Theorem 2's finite witness.  The rows are n in [N-4, N],
+all read from that one walk, each with the route's times.  Every row's
+total and edge tally must equal the recursion table's slot n, its tallies
+must equal those the series read count_series(K, N).at(n) gives, and its
+x1^-1 blocked count must equal the series' trivial tally.
 
 series: for each N:K in --series, the three steps of count_series(K, N),
 each repeat starting from empty _phi_chain and count_series caches:
@@ -143,9 +143,11 @@ def bench_census(n: int, k: int, repeats: int) -> None:
         forests.count_trees.cache_clear()
         forests._seq_counts.cache_clear()
         t0 = time.perf_counter()
-        table = census._height_table(n, k)
+        for l in range(2, n + 1):
+            forests.count_trees(l, k)
+            forests.count_trees(l, k - 1)
         t1 = time.perf_counter()
-        walked = census._walk(n, k, table)
+        walked = census._walk(n, k)
         t2 = time.perf_counter()
         recursion = forests._seq_counts(n, k)
         t3 = time.perf_counter()

@@ -37,7 +37,7 @@ from .forests import (
     MarkedForest,
     TreeTable,
     count_bb,
-    count_trees_exact_height,
+    count_trees,
     encode_forest,
     enumerate_bb,  # unused here; perfbench traces it as census.enumerate_bb
     _census_work,
@@ -55,7 +55,7 @@ from .series import CensusTallies, count_series
 
 EMBED_N_CAP = 12
 # The walk route's bound on _census_work(depth, k): 2.4e7 at (1017, 23),
-# Theorem 1's once-peeled witness (13 s), 5.2e7 at (512, 200) (13 s).
+# Theorem 1's once-peeled witness (9 s), 5.2e7 at (512, 200) (6 s).
 WALK_WORK_CAP = 3 * 10**7
 
 # The generator each action label multiplies by, and the label of each.
@@ -71,15 +71,7 @@ class EmbeddingError(RuntimeError):
 # raw census counts (mode-dual)
 
 
-def _height_table(n: int, k: int) -> list[list[int]]:
-    """table[l][h] = trees with l leaves and height exactly h (row 0 zero)."""
-    return [
-        [count_trees_exact_height(l, h) for h in range(k + 1)] if l else [0] * (k + 1)
-        for l in range(n + 1)
-    ]
-
-
-def _walk(n: int, k: int, table: list[list[int]]) -> list[tuple[CensusTallies, int]]:
+def _walk(n: int, k: int) -> list[tuple[CensusTallies, int]]:
     """Tallies over B(s, k) for every s <= n, from one pass over s.
 
     The per-mark tally needs only the marked tree and its two neighbours:
@@ -105,17 +97,20 @@ def _walk(n: int, k: int, table: list[list[int]]) -> list[tuple[CensusTallies, i
     so its blocked count is the pair count plus one per sequence.  It
     equals `trivial` by an identity of the series, which census_counts
     checks; tests/test_walk.py recounts all six labels from the actions.
-    This route shares only the table (count_trees_exact_height) with the
-    series and nothing with its Phi chain; it reads `isolated` from local
-    states, where the series reads z S^2.
+    This route shares no code with the series: it reads count_trees where
+    the series squares its own Phi chain, and `isolated` from local states
+    where the series reads z S^2.
 
     Returns, for s = 0..n, (tallies, merge_blocked): the four tallies and
     the x1^-1 blocked count.  Slot 0 is all zero.
     """
-    trees = {}  # trees[cls][l]: l-leaf trees of class cls = (trivial, height k)
-    for l in range(1, n + 1):
-        for h, c in enumerate(table[l]):
-            trees.setdefault((h == 0, h == k), [0] * (n + 1))[l] += c
+    # trees[cls][l]: l-leaf trees of class cls = (trivial, height exactly k)
+    below = [0, 0] + [count_trees(l, k - 1) for l in range(2, n + 1)]
+    trees = {(True, k == 0): [0, 1] + [0] * (n - 1)}
+    if k:
+        trees[False, True] = [0, 0] + [count_trees(l, k) - below[l] for l in range(2, n + 1)]
+    if k > 1:
+        trees[False, False] = below
     # A first tree: one sequence and one mark, no pair, its left side blocked.
     ahead = {(cls, left): [[v * left] + [0] * n for v in (1, 1, cls[0], 0, 0)]
              for cls in trees for left in (False, True)}
@@ -138,9 +133,9 @@ def _walk(n: int, k: int, table: list[list[int]]) -> list[tuple[CensusTallies, i
 
 @lru_cache(maxsize=None)
 def _walked(depth: int, k: int) -> list[tuple[CensusTallies, int]]:
-    """_walk to depth on the exact-height table, once per (depth, k), as
-    count_series holds one series per (k, order)."""
-    return _walk(depth, k, _height_table(depth, k))
+    """_walk to depth, once per (depth, k), as count_series holds one series
+    per (k, order)."""
+    return _walk(depth, k)
 
 
 _FOREST_GENSETS = ("standard", "symmetric", "extended")

@@ -87,8 +87,8 @@ def enumerate_trees(n: int, kmax: int) -> tuple[Tree, ...]:
 
 @lru_cache(maxsize=None)
 def count_trees(n: int, kmax: int) -> int:
-    """Number of trees with n leaves and height <= kmax, without
-    materializing them."""
+    """Number of trees with n leaves and height <= kmax, from half of the
+    symmetric convolution of the subtree counts, as series.square does."""
     if n < 1:
         raise ValueError("a tree has at least one leaf")
     kmax = min(kmax, n - 1)
@@ -99,14 +99,9 @@ def count_trees(n: int, kmax: int) -> int:
     # Subtree counts by leaf count m, with the height bound clamped as inside
     # the call so that the cache holds one key per value.
     sub = [count_trees(m, min(kmax - 1, m - 1)) for m in range(1, n)]
-    return sum(map(mul, sub, reversed(sub)))
-
-
-def count_trees_exact_height(n: int, h: int) -> int:
-    """Number of trees with n leaves and height exactly h."""
-    if h < 0 or (h > n - 1 and n > 1):
-        return 0
-    return count_trees(n, h) - (count_trees(n, h - 1) if h >= 1 else 0)
+    half = (n - 1) // 2
+    middle = sub[half] ** 2 if (n - 1) % 2 else 0
+    return 2 * sum(map(mul, sub[:half], reversed(sub))) + middle
 
 
 # ---------------------------------------------------------------------------

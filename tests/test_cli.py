@@ -240,9 +240,9 @@ def _record_walks(monkeypatch):
     real = census._walk
     depths = []
 
-    def counting_walk(n, k, table):
+    def counting_walk(n, k):
         depths.append((n, k))
-        return real(n, k, table)
+        return real(n, k)
 
     monkeypatch.setattr(census, "_walk", counting_walk)
     census._walked.cache_clear()
@@ -293,17 +293,16 @@ def test_walk_bound_refuses_the_table(monkeypatch, capsys, bound, rc, walks):
 
 def test_table_over_default_cap_refused_before_walk(monkeypatch, capsys):
     # 512^2 * 200 is over the default walk bound: the table is refused on
-    # its first row, before the walk and its exact-height table, whose
+    # its first row, before the walk and its tree counts, whose
     # O(n^2 min(k, n)) products the depth alone does not bound.
     depths = _record_walks(monkeypatch)
-    tables = []
-    monkeypatch.setattr(census, "_height_table", lambda *a: tables.append(a))
+    forests.count_trees.cache_clear()
     t0 = time.monotonic()
     argv = ["density", "--nmax", "512", "--k", "200", "--mode", "both",
             "--boundary", "never"]
     assert cli.main(argv) == 2
     assert time.monotonic() - t0 < 1
-    assert depths == tables == []
+    assert depths == [] and forests.count_trees.cache_info().currsize == 0
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (

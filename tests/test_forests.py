@@ -31,10 +31,13 @@ def test_tree_counts_match_catalan_when_height_free():
 
 def test_count_trees_exact_height():
     # leaves=4: 5 trees total; heights 2 and 3 split as 1 + 4.
-    assert forests.count_trees_exact_height(4, 2) == 1
-    assert forests.count_trees_exact_height(4, 3) == 4
-    assert forests.count_trees_exact_height(4, 1) == 0
-    assert sum(forests.count_trees_exact_height(6, h) for h in range(6)) == 42
+    def exact(n, h):
+        return forests.count_trees(n, h) - forests.count_trees(n, h - 1)
+
+    assert exact(4, 2) == 1
+    assert exact(4, 3) == 4
+    assert exact(4, 1) == 0
+    assert sum(exact(6, h) for h in range(6)) == 42
 
 
 def test_forest_codec_round_trip_and_errors():

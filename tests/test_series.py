@@ -1,6 +1,7 @@
 """Truncated integer series: the generating-function counting path."""
 
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -90,22 +91,19 @@ def test_phi_matches_count_trees_below_order():
         assert series.geometric(p) == _geometric_oracle(p)
 
 
+def test_count_trees_matches_catalan_numbers():
+    # The unbounded count is the Catalan number, on both parities of n - 1:
+    # count_trees adds the middle square of its half convolution or not.
+    for n in range(1, 61):
+        assert forests.count_trees(n, n - 1) == math.comb(2 * (n - 1), n - 1) // n
+
+
 def test_phi_small_cases():
     # Phi_0 = z, Phi_1 = z + z^2, Phi_2 = z + (z + z^2)^2.
     assert series.phi(0, 5) == (0, 1, 0, 0, 0, 0)
     assert series.phi(1, 5) == (0, 1, 1, 0, 0, 0)
     assert series.phi(2, 5) == (0, 1, 1, 2, 1, 0)
     assert series.phi(-1, 3) == (0, 0, 0, 0)
-
-
-def test_phi_counts_trees_by_exact_height_cumulative():
-    for k in range(0, 6):
-        p = series.phi(k, 9)
-        for n in range(1, 9):
-            expected = sum(
-                forests.count_trees_exact_height(n, h) for h in range(0, k + 1)
-            )
-            assert p[n] == expected
 
 
 def _psi(k, trunc):

@@ -1,5 +1,5 @@
-"""The census walk against the object model, the series route, and a
-deliberately broken height table."""
+"""The census walk against the object model, the series route, and
+deliberately broken tree counts and tallies."""
 
 import dataclasses
 
@@ -35,7 +35,7 @@ def _object_model_slot(n: int, k: int):
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 9), k=st.integers(0, 4))
 def test_walk_matches_object_model(n, k):
-    walked = census._walk(n, k, census._height_table(n, k))
+    walked = census._walk(n, k)
     assert walked[n] == _object_model_slot(n, k)
 
 
@@ -46,7 +46,7 @@ def test_walk_tallies_every_depth():
     }
     for n in range(1, 10):
         for k in range(5):
-            walked = census._walk(n, k, census._height_table(n, k))
+            walked = census._walk(n, k)
             assert walked == [oracle[s, k] for s in range(n + 1)], (n, k)
 
 
@@ -81,15 +81,19 @@ def test_walk_agrees_with_series_at_n18():
     assert c.total == forests.count_bb(18, 4) == 90044420
 
 
-def test_bumped_table_breaks_total(monkeypatch, fresh_walks):
+def test_bumped_tree_count_breaks_total(monkeypatch, fresh_walks):
+    # Negative control: the walk reads one tree count off by one, the
+    # 3-leaf trees of height at most k, while the recursion that checks it
+    # (forests._seq_counts) reads the true counts.
     n, k = 8, 3
-    table = census._height_table(n, k)
-    assert census._walk(n, k, table)[n][0].total == forests.count_bb(n, k)
-    table[3][2] += 1
-    assert census._walk(n, k, table)[n][0].total != forests.count_bb(n, k)
+    real = forests.count_trees
+    assert census._walk(n, k)[n][0].total == forests.count_bb(n, k)
+    monkeypatch.setattr(
+        census, "count_trees", lambda l, h: real(l, h) + ((l, h) == (3, k))
+    )
+    assert census._walk(n, k)[n][0].total != forests.count_bb(n, k)
     # census_counts refuses the broken walk rather than reporting it.
-    monkeypatch.setattr(census, "_height_table", lambda n, k: table)
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match="disagree with recursion"):
         census.census_counts(n, k)
 
 
