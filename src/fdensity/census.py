@@ -14,11 +14,11 @@ count #d*Y (directed edges leaving Y) this satisfies
 delta(Y) + #d*Y/#Y = 2m exactly.  (Some sources abbreviate the numerator
 2m#Y - #d*Y itself as the density; we always divide by #Y.)
 
-The outer boundary dY (vertices outside Y adjacent to Y) is computed only
-in the element model via the embedding of B(n, k) into the Cayley graph,
-since some Cayley neighbours of B(n, k) are not n-leaf marked forests.
-One embedding of B(n, k) holds every B(n', k') with n' <= n and k' <= k,
-so outer_boundary_grid reads all their boundaries from it.
+The outer boundary dY (vertices outside Y adjacent to Y) leaves the forest
+model, as some Cayley neighbours of B(n, k) are not n-leaf forests; still
+CensusCounts.stats reads it from the tallies, by the proof it carries.
+outer_boundary_exact counts it on the embedded image, and outer_boundary_grid
+for every B(n', k') with n' <= n, k' <= k from one embedding of B(n, k).
 """
 
 from __future__ import annotations
@@ -144,24 +144,82 @@ _FOREST_GENSETS = ("standard", "symmetric", "extended")
 @dataclass(frozen=True)
 class CensusCounts(CensusTallies):
     """The tallies over B(n, k) (CensusTallies), from either route, and what
-    they give: the forest-model statistics, those of B'(n, k), and the
-    doubling bound."""
+    they give: the statistics of B(n, k) with its outer boundary, those of
+    B'(n, k), and the doubling bound."""
 
     n: int
     k: int
     mode: str = field(compare=False)
 
     def stats(self, genset: GenSetSpec) -> "SubgraphStats":
-        """Induced-subgraph statistics of B(n, k) under a named generating set."""
+        """Induced-subgraph statistics of B(n, k) under a named generating
+        set, with #dY for Y its image in F: the sum of the set's blocked
+        tallies, less trivial - edge when the set has both x1^-1 and
+        x1bar^-1.  That is 2 trivial + 2 edge (standard), 3 trivial + edge
+        (symmetric) and 3 trivial + 3 edge = doubling_bound() (extended).
+
+        Proof.  Pad a forest on the right with trivial trees without end.
+        Such forests over the leaves 0, 1, 2, ..., with finitely many
+        carets and one marked tree, are the positive elements of F: mark on
+        tree j and carets c read P = x0^j prod x_(1+l(c)), l(c) the leftmost
+        leaf of c, in normal form; on the left, x0 moves the mark one tree
+        right and x1 merges the marked tree with its right neighbour (Belk
+        and Brown, IJAC 2005).  embed sends the base to the identity and
+        each action edge to a right multiplication, so it sends f to
+        P(f)^-1, a negative normal form, and the action of s on f to
+        s^-1 P(f).  Let T_j be the marked tree, L its leftmost leaf and m
+        the number of trees.  An unblocked action leads to the next forest;
+        a blocked one to the endpoint (s^-1 P)^-1, outside Y by its reduced
+        normal form.  Per label, where it is blocked, that form has a
+        positive part:
+
+          x0        j = 0            x0 (P+1)^-1
+          x1bar^-1  j = 0            x0 (x1 (P+1))^-1
+          x1        T_j trivial      x_(1+L) (x0^j R)^-1
+          x1bar     T_j trivial      x_(1+L) (x0^(j+1) R)^-1
+
+        where P+1 raises every letter of P by one, and R is P without its
+        x0 letters, those above x_(1+L) raised by one (none is x_(1+L), as
+        T_j is trivial); or it is the inverse of a padded forest outside
+        the padded B(n, k):
+
+          x0^-1     j = m - 1        the marked tree is the leaf n
+          x1^-1     j = m - 1        a caret over leaves n - 1 and n
+          x1^-1     j < m - 1        marked tree of height k + 1, leaves < n
+          x1bar^-1  j > 0            marked tree of height k + 1, leaves < n
+
+        y -> y*s is injective, so a label's endpoints number its blocked
+        tally.  Endpoints of two labels meet only in the last two rows:
+        - The positive part parts the first four rows from the last four,
+          and the first two from the next two (1 + L >= 1).  When j = 0,
+          P has no x0, so x1 is in the negative part of x1bar^-1's
+          endpoint but not of x0's.
+        - x1 at f and x1bar at f' meet only if L, R and so the carets agree
+          and j = j' + 1 (the x0 counts), but L grows with j in one forest.
+        - x0^-1's forest has heights <= k and no caret over leaf n; x1^-1's
+          at j = m - 1 has such a caret; the last two rows have a tree of
+          height k + 1 and no such caret.
+        - The last two rows meet exactly as u*x1^-1 = (u*x0^-1)*x1bar^-1
+          (x1^-1 x1bar = x0^-1 in F): splitting the marked tree of height
+          k + 1 gives u with the left child marked and u*x0^-1 with the
+          right one, both in B(n, k) and both blocked.  x1^-1 is blocked on
+          `trivial` forests, `edge` of them on the last tree (the mirror of
+          the first), so trivial - edge endpoints are met twice.
+        """
         if genset.name not in _FOREST_GENSETS:
             raise ValueError(
                 f"forest-model statistics support gensets {_FOREST_GENSETS}, "
                 f"not {genset.name!r}"
             )
         blocked = self.per_label_blocked()
+        labels = [label for label, _ in genset.signed()]
+        # The two labels' endpoints met twice, trivial - edge of them.
+        twice = {"x1^-1", "x1bar^-1"} <= set(labels)
         return SubgraphStats(
             vertices=self.total,
-            blocked=tuple((label, blocked[label]) for label, _ in genset.signed()),
+            blocked=tuple((label, blocked[label]) for label in labels),
+            outer_boundary=sum(map(blocked.get, labels))
+            - twice * (self.trivial - self.edge),
         )
 
     def bprime(self) -> "SubgraphStats":
@@ -184,20 +242,20 @@ class CensusCounts(CensusTallies):
         )
 
     def doubling_bound(self) -> int:
-        """Edge-selection upper bound on #dY for Y = B(n, k), extended set.
+        """Edge-selection bound on #dY for Y = B(n, k), extended set: exact.
 
         Every boundary vertex v keeps an edge back into Y, and mapping v to
-        that endpoint is injective per label.  Category counts:
+        that endpoint is a bijection per category (stats proves the counts):
 
-          v = u*x0 or u*x0^-1   (mark at an end)        <= 2 * edge
-          v = u*x1 or u*x1bar   (marked tree trivial)   <= 2 * trivial
-          v = u*x1^-1           (blocked merge right)   <= trivial, exactly the
+          v = u*x0 or u*x0^-1   (mark at an end)        2 * edge
+          v = u*x1 or u*x1bar   (marked tree trivial)   2 * trivial
+          v = u*x1^-1           (blocked merge right)   trivial, exactly the
                                 blocked-merge count; every height-blocked
                                 x1bar^-1 target also arises this way, since
                                 splitting its k+1 caret the other way lands
                                 back in Y
           v = u*x1bar^-1, u marked on the first tree (no
-                                left neighbour to merge) <= edge
+                                left neighbour to merge) edge
 
         Total: 3*trivial + 3*edge.  Since edge is o(|B(n,k)|), the ratio
         tends to 3 xi_k.
@@ -270,8 +328,8 @@ class SubgraphStats:
 
     For each signed generator a, blocked(a) vertices of Y send their
     a-edge out of Y, one Cheeger boundary edge each, and the other
-    internal(a) = #Y - blocked(a) keep it inside.  outer_boundary is #dY,
-    known only in the element model (None for forest-model statistics).
+    internal(a) = #Y - blocked(a) keep it inside.  outer_boundary is #dY
+    in the Cayley graph (None where unknown, as for B'(n, k)).
     """
 
     vertices: int

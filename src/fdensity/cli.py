@@ -206,11 +206,11 @@ def _density_row(
     n: int, k: int, genset: group.GenSetSpec, args: argparse.Namespace, order: int
 ) -> dict:
     """One row of the density table; args gives --genset's name, --mode,
-    --boundary and --cap, the bound of the row's embeddings."""
-    mode, cap = args.mode, args.cap
+    --boundary and --cap, which only a custom set's embedding reads."""
+    mode = args.mode
     # A custom set is read on the embedded image, whose n <= 12 refusal
     # comes before the census' own input checks.
-    emb = census.embed(n, k, cap=cap) if genset.name == "custom" else None
+    emb = census.embed(n, k, cap=args.cap) if genset.name == "custom" else None
     counts = census.census_counts(n, k, mode, order)
     if emb is None:
         st, prov = counts.stats(genset), _PROVENANCE[mode]
@@ -238,15 +238,10 @@ def _density_row(
         bp = counts.bprime()
         row["bprime_density_num"] = bp.density.numerator
         row["bprime_density_den"] = bp.density.denominator
-    compute_boundary = args.boundary == "always" or (
+    if args.boundary == "always" or (
         args.boundary == "auto" and n <= 10 and mode != "dp"
-    )
-    if compute_boundary:
-        row["outer_boundary"] = (
-            census.outer_boundary_exact(n, k, genset, cap=cap)
-            if st.outer_boundary is None
-            else st.outer_boundary
-        )
+    ):
+        row["outer_boundary"] = st.outer_boundary
     return row
 
 
@@ -554,8 +549,8 @@ def _add_common(p: argparse.ArgumentParser, fmt_default: str) -> None:
                    help="accepted for compatibility (at least 1); selects "
                    "nothing, every command runs in one process")
     p.add_argument("--cap", type=int, default=census.DEFAULT_CAP,
-                   help="most forests an embedding or enumerate visits (the "
-                   "census walk has its own bound)")
+                   help="most forests an embedding or enumerate visits; "
+                   "named-set density rows and the census walk visit none")
 
 
 def _tol(text: str) -> Fraction:
@@ -595,7 +590,7 @@ def build_parser() -> _Parser:
                    help="standard|symmetric|extended|custom:<words>")
     p.add_argument("--mode", choices=("enumerate", "dp", "both"), default="enumerate")
     p.add_argument("--boundary", choices=("auto", "always", "never"), default="auto",
-                   help="compute exact outer boundary via the embedding")
+                   help="fill the outer-boundary column (auto: n <= 10, not dp)")
     _add_common(p, "csv")
     p.set_defaults(func=cmd_density)
 

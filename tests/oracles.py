@@ -1,6 +1,6 @@
 """Test oracles: the object model of the forest actions, the forest
-decoder, the normal-form conditions, balls in F, the Catalan numbers and
-the ring arithmetic of truncated series.
+decoder, the normal-form conditions, balls in F, the outer-boundary
+formulas, the Catalan numbers and the ring arithmetic of truncated series.
 
 The package computes the actions one way only, `forests.TreeTable.moves`
 on interned trees, and reads isolation from tree heights.  Here the six
@@ -174,6 +174,18 @@ def ball(genset: GenSetSpec, radius: int, cap: int = 10**7) -> dict[NormalForm, 
                     layer.append(h)
         frontier = sorted(layer)
     return dist
+
+
+# ---------------------------------------------------------------------------
+# the outer boundary of B(n, k), as the statement CensusCounts.stats proves
+
+# #dY for Y = B(n, k) embedded in F, per named set, from the tallies (the
+# package derives it label by label instead).
+BOUNDARY_FORMULAS = {
+    "standard": lambda c: 2 * c.trivial + 2 * c.edge,
+    "symmetric": lambda c: 3 * c.trivial + c.edge,
+    "extended": lambda c: 3 * c.trivial + 3 * c.edge,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -270,8 +270,8 @@ def test_outer_boundary_exact_multiplies_only_blocked(monkeypatch):
 
 
 def test_doubling_bound_holds_small_grid():
-    # The edge-selection bound is |dY| itself on every embeddable B(n, k)
-    # measured so far; theorem2 still prints only <=.
+    # The edge-selection bound is |dY| itself, as CensusCounts.stats
+    # proves; theorem2 still prints only <=.
     for n in range(1, 10):
         for k in range(0, 4):
             bound = census.census_counts(n, k).doubling_bound()
@@ -280,18 +280,59 @@ def test_doubling_bound_holds_small_grid():
 
 
 def test_outer_boundary_grid_matches_exact():
-    # One embedding of B(8, 3) gives #dY of every B(n, k) padded inside it.
+    # One embedding of B(8, 3) gives #dY of every B(n, k) padded inside it,
+    # and CensusCounts.stats reads the same #dY from the tallies.
+    counts = {(n, k): census.census_counts(n, k) for n in range(1, 9) for k in range(4)}
     for gs in (
         group.GenSetSpec.standard(),
         group.GenSetSpec.symmetric(),
         group.GenSetSpec.extended(),
     ):
-        exact = {
-            (n, k): census.outer_boundary_exact(n, k, gs)
-            for n in range(1, 9)
-            for k in range(0, 4)
-        }
+        exact = {(n, k): census.outer_boundary_exact(n, k, gs) for n, k in counts}
         assert census.outer_boundary_grid(8, 3, gs) == exact, gs.name
+        formula = oracles.BOUNDARY_FORMULAS[gs.name]
+        assert {nk: formula(c) for nk, c in counts.items()} == exact, gs.name
+        assert {nk: c.stats(gs).outer_boundary for nk, c in counts.items()} == exact
+        if gs.name == "symmetric":
+            # Negative control: symmetric's coefficients swapped.
+            swapped = {nk: c.trivial + 3 * c.edge for nk, c in counts.items()}
+            assert swapped != exact
+
+
+def _endpoint_sources(emb, genset):
+    """Every endpoint y*s outside the embedded image, with the (label,
+    element) pairs that reach it."""
+    steps = dict(genset.signed())
+    sources = {}
+    for label in steps:
+        for y in emb.blocked[label]:
+            t = group.multiply(y, steps[label])
+            assert t not in emb.image()
+            sources.setdefault(t, []).append((label, y))
+    return sources
+
+
+def test_outer_boundary_proof_one_coincidence():
+    # The proof in CensusCounts.stats: the only endpoint two labels reach
+    # is u*x1^-1 = (u*x0^-1)*x1bar^-1, at trivial - edge forests u.
+    x0_inverse = group.invert(group.X0)
+    for n in range(1, 9):
+        for k in range(4):
+            emb = census.embed(n, k)
+            c = census.census_counts(n, k)
+            for gs in (
+                group.GenSetSpec.standard(),
+                group.GenSetSpec.symmetric(),
+                group.GenSetSpec.extended(),
+            ):
+                sources = _endpoint_sources(emb, gs)
+                twice = [pairs for pairs in sources.values() if len(pairs) > 1]
+                assert all(len(pairs) == 2 for pairs in twice)
+                met = 0 if gs.name == "standard" else c.trivial - c.edge
+                assert len(twice) == met, (n, k, gs.name)
+                for (a, u), (b, v) in map(sorted, twice):
+                    assert (a, b) == ("x1^-1", "x1bar^-1")
+                    assert v == group.multiply(u, x0_inverse)
 
 
 def test_outer_boundary_grid_multiplies_only_blocked(monkeypatch):
@@ -381,5 +422,8 @@ def test_stats_elements_outer_boundary_matches_oracle():
         for gs in gensets:
             st = census.stats_elements(Y, gs)
             assert st.outer_boundary == _outer_boundary_oracle(Y, gs)
-    # The forest model cannot see dY.
-    assert census.census_counts(4, 1).stats(gensets[0]).outer_boundary is None
+    # The forest model reads dY from its tallies.
+    Y = census.embed(4, 1).image()
+    for gs in gensets[:3]:
+        st = census.census_counts(4, 1).stats(gs)
+        assert st.outer_boundary == _outer_boundary_oracle(Y, gs)

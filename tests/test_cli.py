@@ -16,6 +16,8 @@ import fdensity
 from fdensity import census, cli, forests, group, series
 from fdensity.errors import CapExceeded
 
+import oracles
+
 
 def run(argv, tmp_path, name="out"):
     path = tmp_path / name
@@ -436,6 +438,51 @@ def test_density_custom_row_embeds_once(monkeypatch, tmp_path):
     (row,) = list(csv.DictReader(text.splitlines()))
     gs = group.by_name("custom:x0,x1,x2")
     assert row["outer_boundary"] == str(census.outer_boundary_exact(4, 1, gs))
+
+
+@pytest.mark.parametrize("genset", ["standard", "symmetric", "extended"])
+def test_named_density_rows_never_embed(monkeypatch, capsys, genset):
+    # A named set's outer boundary is read from the census tallies: with
+    # the embedding and the element-model boundary disabled, the column
+    # still equals the element model's #dY.
+    gs = group.by_name(genset)
+    exact = {
+        (str(n), str(k)): str(census.outer_boundary_exact(n, k, gs))
+        for n in range(1, 11)
+        for k in range(4)
+    }
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a named-set row embedded")
+
+    monkeypatch.setattr(census, "embed", refuse)
+    monkeypatch.setattr(census, "outer_boundary_exact", refuse)
+    argv = ["density", "--nmax", "10", "--kmax", "3", "--mode", "both",
+            "--boundary", "always", "--genset", genset]
+    assert cli.main(argv) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert {(r["n"], r["k"]): r["outer_boundary"] for r in rows} == exact
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--n", "13", "--k", "3", "--boundary", "always"],
+     ["--n", "10", "--k", "3", "--cap", "100"]],
+    ids=["past-embed-n-cap", "past-cap"],
+)
+def test_named_boundary_needs_no_embedding(capsys, argv):
+    # A named set's row reads #dY from the tallies, so neither the
+    # embedding's n <= 12 nor --cap 100 (|B(10, 3)| = 11932) refuses it; a
+    # custom set's row embeds and is refused.
+    c = census.census_counts(int(argv[1]), int(argv[3]))
+    for genset, formula in oracles.BOUNDARY_FORMULAS.items():
+        assert cli.main(["density", "--genset", genset] + argv) == 0
+        (row,) = csv.DictReader(capsys.readouterr().out.splitlines())
+        assert row["outer_boundary"] == str(formula(c))
+    assert cli.main(["density", "--genset", "custom:x0,x1"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fdensity: not certified within budget: ")
 
 
 def test_large_n_refused_by_cap(capsys):
