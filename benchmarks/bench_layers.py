@@ -10,13 +10,13 @@ over the repeats).  Every product must equal the word fold of the
 normal-form letters, _fold(a.pos, a.neg, letters(b)).
 
 embedding: for every n' <= n and k' <= k, the BFS census.embed(n', k')
-and then the extended-set statistics pass stats_elements(image, extended,
-blocked) that outer_boundary_exact makes, each in seconds (minimum over
-the repeats), and the group.multiply calls of outer_boundary_exact,
-counted in one more untimed pass.  The BFS multiplies each unblocked
-(forest, label) pair and the statistics pass each blocked one, so the
-count must be 6 |B(n', k')| summed over the grid; every boundary must
-equal the doubling bound of theorem2.  Then outer_boundary_grid(n, k,
+and then the extended-set statistics pass stats_elements(image, extended)
+that outer_boundary_exact makes, each in seconds (minimum over the
+repeats), and the group.multiply calls of outer_boundary_exact, counted
+in one more untimed pass.  The BFS multiplies each unblocked (forest,
+label) pair and the statistics pass every pair, so the count must be
+12 |B(n', k')| less the extended-set Cheeger count, summed over the grid;
+every boundary must equal the doubling bound of theorem2.  Then outer_boundary_grid(n, k,
 extended), which theorem2 runs: all those boundaries from the one
 embedding of B(n, k), in seconds (minimum over the repeats), and its
 group.multiply calls, counted in the untimed pass.  It must equal the
@@ -93,7 +93,7 @@ def bench_embedding(n: int, k: int, repeats: int) -> None:
         embeddings = [census.embed(nn, kk) for nn, kk in grid]
         t1 = time.perf_counter()
         for emb in embeddings:
-            census.stats_elements(emb.image(), ext, emb.blocked)
+            census.stats_elements(emb.image(), ext)
         t2 = time.perf_counter()
         census.outer_boundary_grid(n, k, ext)
         t3 = time.perf_counter()
@@ -117,7 +117,9 @@ def bench_embedding(n: int, k: int, repeats: int) -> None:
     finally:
         census.multiply = real
     counts = [census.census_counts(nn, kk) for nn, kk in grid]
-    assert row_calls == 6 * sum(c.total for c in counts), "multiply calls != 6 |B|"
+    assert row_calls == sum(12 * c.total - c.stats(ext).cheeger_total for c in counts), (
+        "multiply calls != 12 |B| - Cheeger"
+    )
     assert all(o == c.doubling_bound() for o, c in zip(outer, counts)), (
         "outer boundary differs from the doubling bound"
     )
@@ -127,7 +129,7 @@ def bench_embedding(n: int, k: int, repeats: int) -> None:
     emb = census.embed(n, k)
     tracemalloc.start()
     try:
-        census.stats_elements(emb.image(), ext, emb.blocked)
+        census.stats_elements(emb.image(), ext)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

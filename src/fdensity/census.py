@@ -17,8 +17,9 @@ delta(Y) + #d*Y/#Y = 2m exactly.  (Some sources abbreviate the numerator
 The outer boundary dY (vertices outside Y adjacent to Y) leaves the forest
 model, as some Cayley neighbours of B(n, k) are not n-leaf forests; still
 CensusCounts.stats reads it from the tallies, by the proof it carries.
-outer_boundary_exact counts it on the embedded image, and outer_boundary_grid
-for every B(n', k') with n' <= n, k' <= k from one embedding of B(n, k).
+outer_boundary_exact counts it on the embedded image, multiplying every
+(element, generator) pair itself, and outer_boundary_grid for every
+B(n', k') with n' <= n, k' <= k from one embedding of B(n, k).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Callable, Collection, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import CapExceeded
 from .forests import (
@@ -58,9 +59,8 @@ EMBED_N_CAP = 12
 # Theorem 1's once-peeled witness (9 s), 5.2e7 at (512, 200) (6 s).
 WALK_WORK_CAP = 3 * 10**7
 
-# The generator each action label multiplies by, and the label of each.
+# The generator each action label multiplies by.
 _ACTION_STEPS = dict(GenSetSpec.extended().signed())
-_STEP_LABELS = {step: label for label, step in _ACTION_STEPS.items()}
 
 
 class EmbeddingError(RuntimeError):
@@ -371,17 +371,14 @@ class SubgraphStats:
         return dict(self.blocked)
 
 
-def stats_elements(
-    elements: Iterable[NormalForm],
-    genset: GenSetSpec,
-    blocked: Optional[Mapping[str, Collection[NormalForm]]] = None,
-) -> SubgraphStats:
+def stats_elements(elements: Iterable[NormalForm], genset: GenSetSpec) -> SubgraphStats:
     """Exact induced-subgraph statistics over a finite set Y of elements.
 
-    One pass over the products y*s (y in Y, s a signed generator) counts
-    the edges leaving Y per label and collects their endpoints, whose
-    number is the outer boundary #dY (a vertex set, so deduplicated by
-    normal form).
+    One pass over all 2m #Y products y*s (y in Y, s a signed generator)
+    counts the edges leaving Y per label and collects their endpoints,
+    whose number is the outer boundary #dY (a vertex set, so deduplicated
+    by normal form).  It takes no record of where Y came from, so no
+    product is trusted to land in Y unchecked.
 
     Y belongs to the caller; the endpoints are the only new elements the
     pass keeps, and they can outnumber Y several times (51 414 against
@@ -392,12 +389,6 @@ def stats_elements(
     endpoint with an index of 256 or more, which bytes() refuses, is
     stored as its NormalForm; bytes never equal a tuple, so the set still
     holds exactly one key per distinct endpoint.
-
-    `blocked` is an embedding's record (`Embedding.blocked`) for Y its
-    image.  A generator whose normal form is an action step then
-    multiplies only the elements whose forest has that action blocked:
-    the embedding has checked every other product to land in Y.  Other
-    generators multiply all of Y.
     """
     Y = elements if isinstance(elements, (set, frozenset)) else set(elements)
     if not Y:
@@ -405,11 +396,8 @@ def stats_elements(
     blocked_counts = []
     outside: set[bytes | NormalForm] = set()
     for label, step in genset.signed():
-        candidates = Y
-        if blocked is not None and step in _STEP_LABELS:
-            candidates = blocked[_STEP_LABELS[step]]
         leaving = 0
-        for y in candidates:
+        for y in Y:
             t = multiply(y, step)
             if t not in Y:
                 outside.add(compact_key(t))
@@ -430,15 +418,13 @@ class Embedding:
 
     `flat` maps each forest's flat key (read in `table`) to its element,
     in BFS order; `assignment` decodes it to (forest, element) pairs when
-    read.  `blocked` maps each action label to the elements whose forest
-    has that action blocked within B(n, k), also in BFS order.
+    read.
     """
 
     n: int
     k: int
     flat: dict[ForestKey, NormalForm]
     table: TreeTable = field(repr=False, compare=False)
-    blocked: dict[str, list[NormalForm]]
     _image: frozenset[NormalForm] = field(repr=False, compare=False)
 
     @property
@@ -461,9 +447,10 @@ def embed(
     The all-trivial forest with leftmost mark goes to the identity; each
     action edge multiplies on the right by its generator.  Every edge is
     checked in both directions during the BFS, and the final assignment
-    must be injective and cover all of B(n, k).  The BFS runs on flat
-    forest keys over one TreeTable (`_moves` replaces its actions in
-    negative controls).
+    must be injective and cover all of B(n, k).  A blocked action makes
+    no product; the edges leaving the image are stats_elements' to count.
+    The BFS runs on flat forest keys over one TreeTable (`_moves` replaces
+    its actions in negative controls).
     """
     if n > EMBED_N_CAP:
         raise CapExceeded(f"embed supports n <= {EMBED_N_CAP} (got n = {n})")
@@ -471,15 +458,13 @@ def embed(
     table = TreeTable(k)
     base = ((0,) * n, 0)
     assigned: dict[ForestKey, NormalForm] = {base: IDENTITY}
-    blocked = {label: [] for label in ACTION_LABELS}
-    edges = [(label, _ACTION_STEPS[label], blocked[label]) for label in ACTION_LABELS]
+    edges = [(label, _ACTION_STEPS[label]) for label in ACTION_LABELS]
     frontier = [(base, IDENTITY)]
     while frontier:
         nxt = []
         for f, e in frontier:
-            for (label, step, blocked_e), g in zip(edges, _moves(table, f)):
+            for (label, step), g in zip(edges, _moves(table, f)):
                 if g is None:
-                    blocked_e.append(e)
                     continue
                 ge = multiply(e, step)
                 seen = assigned.get(g)
@@ -500,7 +485,7 @@ def embed(
     image = frozenset(assigned.values())
     if len(image) != len(assigned):
         raise EmbeddingError(f"assignment over B({n},{k}) is not injective")
-    return Embedding(n, k, assigned, table, blocked, image)
+    return Embedding(n, k, assigned, table, image)
 
 
 def outer_boundary_exact(
@@ -511,7 +496,7 @@ def outer_boundary_exact(
 ) -> int:
     """#dY for Y = B(n, k) embedded in the Cayley graph."""
     emb = embed(n, k, cap)
-    return stats_elements(emb.image(), genset, emb.blocked).outer_boundary
+    return stats_elements(emb.image(), genset).outer_boundary
 
 
 def outer_boundary_grid(
@@ -565,7 +550,7 @@ def outer_boundary_grid(
                 t = multiply(e, step)
                 col.append(t if t in image else compact_key(t))
     del emb, flat, image, table
-    cols = [1 + ACTION_LABELS.index(_STEP_LABELS[step]) for _, step in genset.signed()]
+    cols = [1 + ACTION_LABELS.index(label) for label, _ in genset.signed()]
     grid = {}
     for kk in range(k + 1):
         inside, outside = set(), set()

@@ -218,7 +218,7 @@ def _density_row(
         # The statistics are enumerated on the image; the isolated, B' and
         # doubling columns come from (or are checked against) the series
         # unless the mode is enumerate.
-        st = census.stats_elements(emb.image(), genset, emb.blocked)
+        st = census.stats_elements(emb.image(), genset)
         prov = _PROVENANCE["enumerate" if mode == "enumerate" else "both"]
     row = {
         "n": n,

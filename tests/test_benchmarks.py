@@ -9,7 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from fdensity import census
+from fdensity import census, group
 from fdensity.forests import count_bb
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -72,15 +72,19 @@ def test_bench_layers_runs():
     # The series layer times the Phi chain, geometric() and S at n = 64, k = 5.
     header = next(i for i, line in enumerate(lines) if "chain (s)" in line)
     assert lines[header + 1].split()[:2] == ["64", "5"]
-    # The embedding layer multiplies 6 |B(n, k)| times over n <= 6, k <= 2.
-    # The BFS and the statistics pass are timed apart.  The grid reads all
-    # those boundaries from one embedding of B(6, 2): 6 |B(6, 2)| products.
+    # The embedding layer multiplies 12 |B(n, k)| less the extended-set
+    # Cheeger count times over n <= 6, k <= 2: the BFS each unblocked pair,
+    # the statistics pass every pair.  The two are timed apart.  The grid
+    # reads all those boundaries from one embedding of B(6, 2): 6 |B(6, 2)|
+    # products.
     row = _table_row(lines, "embed (s)", 1)
     assert (row["n <="], row["k <="]) == ("6", "2")
     assert float(row["embed (s)"]) > 0 and float(row["stats (s)"]) > 0
-    assert int(row["multiplies"]) == 6 * sum(
-        count_bb(n, k) for n in range(1, 7) for k in range(0, 3)
-    )
+    ext = group.GenSetSpec.extended()
+    counts = [census.census_counts(n, k) for n in range(1, 7) for k in range(0, 3)]
+    assert int(row["multiplies"]) == sum(
+        12 * c.total - c.stats(ext).cheeger_total for c in counts
+    ) == 3380
     assert float(row["grid (s)"]) > 0
     assert int(row["grid mult."]) == 6 * count_bb(6, 2) == 882
     # The census layer walks B(n, 3) for n = 4..8; its fifth row is n = 8.

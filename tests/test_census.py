@@ -191,10 +191,8 @@ def test_transport_equality_forest_vs_element_model():
         assert forest_side.per_label_blocked() == element_side.per_label_blocked()
 
 
-# A custom set holding the action step x1bar under another spelling, and
-# one holding no action step at all.
+# A custom set holding the action step x1bar under another spelling.
 CUSTOM_WITH_STEP = group.GenSetSpec.custom(["x1 X0", "x0 x0", "x2"])
-CUSTOM_WITHOUT_STEP = group.GenSetSpec.custom(["x0 x1", "X2", "x1 x1"])
 
 
 def _counting_multiply(monkeypatch):
@@ -219,45 +217,10 @@ def _counting_multiply(monkeypatch):
     return seen
 
 
-def test_stats_elements_blocked_record_matches_full_pass(monkeypatch):
-    # With the embedding's blocked record, every per-label count and the
-    # outer boundary equal those of the pass over all of Y.  A signed
-    # generator equal to an action step multiplies only its blocked
-    # elements, any other generator all of Y.
-    seen = _counting_multiply(monkeypatch)
-    action_steps = {s: label for label, s in group.GenSetSpec.extended().signed()}
-    gensets = (
-        group.GenSetSpec.standard(),
-        group.GenSetSpec.symmetric(),
-        group.GenSetSpec.extended(),
-        CUSTOM_WITH_STEP,
-        CUSTOM_WITHOUT_STEP,
-    )
-    saved = dict.fromkeys(gensets, 0)
-    for n in range(1, 9):
-        for k in range(0, 4):
-            emb = census.embed(n, k)
-            Y = emb.image()
-            for gs in gensets:
-                seen["stats"] = 0
-                full = census.stats_elements(Y, gs)
-                assert seen["stats"] == 2 * gs.m * len(Y)
-                seen["stats"] = 0
-                recorded = census.stats_elements(Y, gs, emb.blocked)
-                assert recorded == full, (n, k, gs.gens)
-                assert seen["stats"] == sum(
-                    len(emb.blocked[action_steps[s]]) if s in action_steps
-                    else len(Y)
-                    for _, s in gs.signed()
-                )
-                saved[gs] += 2 * gs.m * len(Y) - seen["stats"]
-    assert saved.pop(CUSTOM_WITHOUT_STEP) == 0
-    assert all(saved.values())
-
-
-def test_outer_boundary_exact_multiplies_only_blocked(monkeypatch):
-    # The statistics pass makes one product per blocked (forest, label)
-    # pair, i.e. the Cheeger count; the BFS one per unblocked pair.
+def test_outer_boundary_exact_multiplies_every_pair(monkeypatch):
+    # The BFS makes one product per unblocked (forest, label) pair; the
+    # statistics pass one per (element, signed generator) pair, blocked or
+    # not, so it reads nothing from the BFS.
     seen = _counting_multiply(monkeypatch)
     ext = group.GenSetSpec.extended()
     for n, k in ((1, 0), (4, 1), (6, 2), (8, 3)):
@@ -265,7 +228,7 @@ def test_outer_boundary_exact_multiplies_only_blocked(monkeypatch):
         census.outer_boundary_exact(n, k, ext)
         counts = census.census_counts(n, k)
         cheeger = counts.stats(ext).cheeger_total
-        assert seen["stats"] == cheeger, (n, k)
+        assert seen["stats"] == 6 * counts.total, (n, k)
         assert seen["bfs"] == 6 * counts.total - cheeger, (n, k)
 
 
@@ -301,14 +264,17 @@ def test_outer_boundary_grid_matches_exact():
 
 def _endpoint_sources(emb, genset):
     """Every endpoint y*s outside the embedded image, with the (label,
-    element) pairs that reach it."""
-    steps = dict(genset.signed())
+    element) pairs that reach it, from every pair of the image; an
+    endpoint leaves the image exactly where y's forest has s blocked."""
+    image = emb.image()
     sources = {}
-    for label in steps:
-        for y in emb.blocked[label]:
-            t = group.multiply(y, steps[label])
-            assert t not in emb.image()
-            sources.setdefault(t, []).append((label, y))
+    for key, y in emb.flat.items():
+        moves = dict(zip(forests.ACTION_LABELS, emb.table.moves(key)))
+        for label, step in genset.signed():
+            t = group.multiply(y, step)
+            assert (t not in image) == (moves[label] is None), (key, label)
+            if t not in image:
+                sources.setdefault(t, []).append((label, y))
     return sources
 
 
